@@ -135,11 +135,11 @@ BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1500);
 static void
 BM_ToeplitzHash(benchmark::State& state)
 {
-    const auto& key = net::default_rss_key();
+    const net::ToeplitzTable& rss = net::default_rss_table();
     uint32_t sport = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(net::toeplitz_ipv4(
-            key, 0x0a000001, 0x0a000002, uint16_t(sport++), 5201));
+        benchmark::DoNotOptimize(
+            rss.ipv4(0x0a000001, 0x0a000002, uint16_t(sport++), 5201));
     }
     state.SetItemsProcessed(state.iterations());
 }

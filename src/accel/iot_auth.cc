@@ -10,7 +10,7 @@ IotAuthAccelerator::process(core::StreamPacket&& pkt)
     // Packet layout: Eth/IPv4/UDP carrying a CoAP message whose
     // payload is a compact-serialized JWT.
     net::ParsedPacket pp = net::parse(frame);
-    if (!pp.udp || pp.payload_len == 0) {
+    if (!pp.has_udp || pp.payload_len == 0) {
         auth_stats_.malformed++;
         stats_.dropped_invalid++;
         return;

@@ -49,9 +49,7 @@ bool
 frame_matches_port(const net::Packet& pkt, uint16_t port)
 {
     net::ParsedPacket pp = net::parse(pkt);
-    if (!pp.tcp)
-        return false;
-    return pp.tcp->sport == port || pp.tcp->dport == port;
+    return pp.has_tcp && (pp.sport == port || pp.dport == port);
 }
 
 } // namespace

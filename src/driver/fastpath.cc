@@ -657,7 +657,7 @@ FastPath::on_rx(net::Packet&& pkt)
         return;
     }
     net::ParsedPacket pp = net::parse(pkt);
-    if (pp.tcp && pp.ipv4)
+    if (pp.has_tcp)
         on_tcp(pp, pkt);
 }
 
@@ -749,8 +749,9 @@ void
 FastPath::on_tcp(const net::ParsedPacket& pp, const net::Packet& pkt)
 {
     ++stats_.segments_received;
-    const net::TcpHeader& tcp = *pp.tcp;
-    ConnKey key{pp.ipv4->src, tcp.sport, tcp.dport};
+    const net::TcpHeader tcp =
+        net::TcpHeader::decode(pkt.bytes() + pp.l4_offset);
+    ConnKey key{pp.src_ip, tcp.sport, tcp.dport};
     Connection* c = find_by_key(key);
 
     if (!c) {
@@ -766,8 +767,8 @@ FastPath::on_tcp(const net::ParsedPacket& pp, const net::Packet& pkt)
                 nc->rcv_nxt_ = tcp.seq + 1;
                 // Learn the peer's MAC from the frame itself, the way
                 // a real stack primes its neighbor table from traffic.
-                if (pp.eth)
-                    arp_cache_[key.remote_ip] = pp.eth->src;
+                arp_cache_[key.remote_ip] =
+                    net::EthHeader::decode(pkt.bytes()).src;
                 Connection::Segment synack;
                 synack.seq = nc->snd_nxt_;
                 synack.syn = true;
@@ -889,7 +890,7 @@ void
 FastPath::handle_data(Connection& c, const net::ParsedPacket& pp,
                       const net::Packet& pkt)
 {
-    uint32_t seq = pp.tcp->seq;
+    uint32_t seq = net::TcpHeader::decode(pkt.bytes() + pp.l4_offset).seq;
     uint32_t len = uint32_t(pp.payload_len);
     if (seq == c.rcv_nxt_) {
         c.rcv_nxt_ += len;

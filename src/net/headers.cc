@@ -166,17 +166,18 @@ ArpHeader::decode(const uint8_t* in, size_t len)
 }
 
 ParsedPacket
-parse_at(const Packet& pkt, size_t offset)
+parse(const Packet& pkt)
 {
     ParsedPacket out;
     const uint8_t* p = pkt.bytes();
     size_t len = pkt.size();
 
-    if (offset + kEthHeaderLen > len)
+    if (len < kEthHeaderLen)
         return out;
-    out.eth = EthHeader::decode(p + offset);
-    size_t pos = offset + kEthHeaderLen;
-    if (out.eth->ethertype != kEtherTypeIpv4) {
+    out.has_eth = true;
+    out.ethertype = load_be16(p + 12);
+    size_t pos = kEthHeaderLen;
+    if (out.ethertype != kEtherTypeIpv4) {
         out.payload_offset = pos;
         out.payload_len = len - pos;
         return out;
@@ -184,47 +185,53 @@ parse_at(const Packet& pkt, size_t offset)
 
     if (pos + kIpv4HeaderLen > len)
         return out;
+    const uint8_t* ip = p + pos;
+    size_t ihl = (ip[0] & 0x0f) * 4;
+    if (ihl < kIpv4HeaderLen || pos + ihl > len)
+        return out;
+    out.has_ipv4 = true;
     out.l3_offset = pos;
-    out.ipv4 = Ipv4Header::decode(p + pos);
-    size_t ihl = (p[pos] & 0x0f) * 4;
-    size_t ip_payload = std::min<size_t>(out.ipv4->total_len, len - pos);
+    out.ihl = uint8_t(ihl);
+    out.total_len = load_be16(ip + 2);
+    uint16_t frag = load_be16(ip + 6);
+    out.more_fragments = frag & 0x2000;
+    out.frag_offset = frag & 0x1fff;
+    out.proto = ip[9];
+    out.src_ip = load_be32(ip + 12);
+    out.dst_ip = load_be32(ip + 16);
+
+    size_t ip_payload = std::min<size_t>(out.total_len, len - pos);
     ip_payload = ip_payload >= ihl ? ip_payload - ihl : 0;
     pos += ihl;
     out.l4_offset = pos;
+    out.payload_offset = pos;
+    out.payload_len = ip_payload;
 
     // Non-first fragments carry no L4 header.
-    if (out.ipv4->frag_offset != 0) {
-        out.payload_offset = pos;
-        out.payload_len = ip_payload;
+    if (out.frag_offset != 0)
         return out;
-    }
 
-    if (out.ipv4->proto == kIpProtoUdp && pos + kUdpHeaderLen <= len) {
-        out.udp = UdpHeader::decode(p + pos);
+    if (out.proto == kIpProtoUdp && pos + kUdpHeaderLen <= len) {
+        out.has_udp = true;
+        out.sport = load_be16(p + pos);
+        out.dport = load_be16(p + pos + 2);
         out.payload_offset = pos + kUdpHeaderLen;
         out.payload_len = ip_payload >= kUdpHeaderLen
                               ? ip_payload - kUdpHeaderLen : 0;
-        if (out.udp->dport == kVxlanPort &&
+        if (out.dport == kVxlanPort &&
             out.payload_offset + kVxlanHeaderLen <= len) {
-            out.vxlan = VxlanHeader::decode(p + out.payload_offset);
+            out.has_vxlan = true;
+            out.vni = load_be32(p + out.payload_offset + 4) >> 8;
         }
-    } else if (out.ipv4->proto == kIpProtoTcp &&
-               pos + kTcpHeaderLen <= len) {
-        out.tcp = TcpHeader::decode(p + pos);
+    } else if (out.proto == kIpProtoTcp && pos + kTcpHeaderLen <= len) {
+        out.has_tcp = true;
+        out.sport = load_be16(p + pos);
+        out.dport = load_be16(p + pos + 2);
         size_t doff = (p[pos + 12] >> 4) * 4;
         out.payload_offset = pos + doff;
         out.payload_len = ip_payload >= doff ? ip_payload - doff : 0;
-    } else {
-        out.payload_offset = pos;
-        out.payload_len = ip_payload;
     }
     return out;
-}
-
-ParsedPacket
-parse(const Packet& pkt)
-{
-    return parse_at(pkt, 0);
 }
 
 PacketBuilder&
@@ -362,7 +369,7 @@ std::optional<Packet>
 vxlan_decapsulate(const Packet& outer)
 {
     ParsedPacket pp = parse(outer);
-    if (!pp.udp || pp.udp->dport != kVxlanPort || !pp.vxlan)
+    if (!pp.has_vxlan)
         return std::nullopt;
     size_t inner_off = pp.payload_offset + kVxlanHeaderLen;
     if (inner_off > outer.size())
@@ -375,7 +382,7 @@ vxlan_decapsulate(const Packet& outer)
                       outer.bytes() + outer.size());
     inner.meta = outer.meta;
     inner.meta.tunneled = true;
-    inner.meta.vni = pp.vxlan->vni;
+    inner.meta.vni = pp.vni;
     return inner;
 }
 

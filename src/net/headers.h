@@ -124,38 +124,53 @@ struct ArpHeader
 };
 
 /**
- * Parsed view of a packet: header copies plus payload offsets.
- * Parse failures leave the corresponding optional empty.
+ * The one header walk: offsets plus the fields the datapath steers,
+ * hashes and checksums on. Callers that need a full header object
+ * (TCP seq/flags, IP id, MACs) decode it at the returned offset, e.g.
+ * TcpHeader::decode(pkt.bytes() + pp.l4_offset). A layer that did not
+ * parse leaves its has_* flag false and its fields zero.
  */
 struct ParsedPacket
 {
-    std::optional<EthHeader> eth;
-    std::optional<Ipv4Header> ipv4;
-    std::optional<UdpHeader> udp;
-    std::optional<TcpHeader> tcp;
-    std::optional<VxlanHeader> vxlan;
+    bool has_eth = false;
+    bool has_ipv4 = false;
+    bool has_udp = false;
+    bool has_tcp = false;
+    bool has_vxlan = false;
+
+    uint16_t ethertype = 0;    ///< with has_eth
+    uint8_t ihl = 0;           ///< IPv4 header bytes (20..60)
+    uint8_t proto = 0;         ///< with has_ipv4
+    uint16_t total_len = 0;    ///< IPv4 total length, as on the wire
+    bool more_fragments = false;
+    uint16_t frag_offset = 0;  ///< in 8-byte units
+    uint32_t src_ip = 0;
+    uint32_t dst_ip = 0;
+    uint16_t sport = 0;        ///< with has_udp or has_tcp
+    uint16_t dport = 0;
+    uint32_t vni = 0;          ///< with has_vxlan
 
     size_t l3_offset = 0;      ///< start of IPv4 header
     size_t l4_offset = 0;      ///< start of UDP/TCP header
     size_t payload_offset = 0; ///< start of L4 payload
     size_t payload_len = 0;
 
+    bool has_l4() const { return has_udp || has_tcp; }
     bool is_ip_fragment() const
     {
-        return ipv4 && ipv4->is_fragment();
+        return has_ipv4 && (more_fragments || frag_offset != 0);
     }
 };
 
 /**
- * Parse Ethernet/IPv4/{UDP,TCP}. Does not look inside VXLAN; use
- * parse_inner() on the decapsulated bytes for that. For IP fragments
- * with non-zero offset, L4 headers are not parsed (they are only
- * present in the first fragment).
+ * Parse Ethernet/IPv4/{UDP,TCP}/VXLAN in one pass. Does not look
+ * inside VXLAN; parse the decapsulated frame for that. For IP
+ * fragments with non-zero offset, L4 headers are not parsed (they are
+ * only present in the first fragment). A frame whose IHL is below 5,
+ * or whose IPv4 header runs past the frame, is not IPv4: every
+ * consumer of has_ipv4 may read ihl bytes at l3_offset.
  */
 ParsedPacket parse(const Packet& pkt);
-
-/** Parse starting directly at an inner Ethernet header. */
-ParsedPacket parse_at(const Packet& pkt, size_t offset);
 
 /**
  * Convenience builder assembling Ethernet/IPv4/{UDP,TCP}/payload

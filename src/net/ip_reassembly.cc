@@ -12,12 +12,12 @@ std::vector<Packet>
 ip_fragment(const Packet& pkt, size_t mtu)
 {
     ParsedPacket pp = parse(pkt);
-    if (!pp.ipv4 || pp.ipv4->total_len <= mtu)
+    if (!pp.has_ipv4 || pp.total_len <= mtu)
         return {pkt};
 
     const uint8_t* p = pkt.bytes();
-    size_t ihl = (p[pp.l3_offset] & 0x0f) * 4;
-    size_t ip_payload_len = pp.ipv4->total_len - ihl;
+    size_t ihl = pp.ihl;
+    size_t ip_payload_len = pp.total_len - ihl;
     const uint8_t* ip_payload = p + pp.l3_offset + ihl;
 
     // Per-fragment payload: largest 8-byte multiple fitting the MTU.
@@ -35,10 +35,10 @@ ip_fragment(const Packet& pkt, size_t mtu)
         uint8_t* q = frag.bytes();
         std::memcpy(q, p, kEthHeaderLen + ihl); // clone L2+L3 headers
 
-        Ipv4Header ih = *pp.ipv4;
+        Ipv4Header ih = Ipv4Header::decode(p + pp.l3_offset);
         ih.total_len = uint16_t(ihl + chunk);
-        ih.more_fragments = !last || pp.ipv4->more_fragments;
-        ih.frag_offset = uint16_t(pp.ipv4->frag_offset + off / 8);
+        ih.more_fragments = !last || pp.more_fragments;
+        ih.frag_offset = uint16_t(pp.frag_offset + off / 8);
         ih.encode(q + kEthHeaderLen, true);
 
         std::memcpy(q + kEthHeaderLen + ihl, ip_payload + off, chunk);
@@ -52,24 +52,24 @@ std::optional<Packet>
 IpReassembler::push(const Packet& pkt)
 {
     ParsedPacket pp = parse(pkt);
-    if (!pp.ipv4) {
+    if (!pp.has_ipv4) {
         ++stats_.invalid;
         return pkt;
     }
-    if (!pp.ipv4->is_fragment())
+    if (!pp.is_ip_fragment())
         return pkt;
 
     ++stats_.fragments_in;
     const uint8_t* p = pkt.bytes();
-    size_t ihl = (p[pp.l3_offset] & 0x0f) * 4;
-    size_t frag_payload = pp.ipv4->total_len >= ihl
-                              ? pp.ipv4->total_len - ihl : 0;
+    size_t ihl = pp.ihl;
+    size_t frag_payload = pp.total_len >= ihl ? pp.total_len - ihl : 0;
     if (pp.l3_offset + ihl + frag_payload > pkt.size()) {
         ++stats_.invalid;
         return std::nullopt;
     }
 
-    Key key{pp.ipv4->src, pp.ipv4->dst, pp.ipv4->id, pp.ipv4->proto};
+    uint16_t id = load_be16(p + pp.l3_offset + 4);
+    Key key{pp.src_ip, pp.dst_ip, id, pp.proto};
     auto it = contexts_.find(key);
     if (it == contexts_.end()) {
         if (contexts_.size() >= max_contexts_)
@@ -80,12 +80,12 @@ IpReassembler::push(const Packet& pkt)
     }
     Context& ctx = it->second;
 
-    if (ctx.l2l3.empty() && pp.ipv4->frag_offset == 0) {
+    if (ctx.l2l3.empty() && pp.frag_offset == 0) {
         // Keep the first fragment's headers as the rebuild template.
         ctx.l2l3.assign(p, p + pp.l3_offset + ihl);
     }
 
-    size_t start = size_t(pp.ipv4->frag_offset) * 8;
+    size_t start = size_t(pp.frag_offset) * 8;
     size_t end = start + frag_payload;
     if (end > ctx.payload.size()) {
         ctx.payload.resize(end);
@@ -104,7 +104,7 @@ IpReassembler::push(const Packet& pkt)
     if (overlapped)
         ++stats_.overlaps; // one count per overlapping fragment
 
-    if (!pp.ipv4->more_fragments)
+    if (!pp.more_fragments)
         ctx.total_len = end;
 
     stats_.contexts_active = contexts_.size();

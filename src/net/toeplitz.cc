@@ -18,39 +18,59 @@ default_rss_key()
     return key;
 }
 
-uint32_t
-toeplitz_hash(const RssKey& key, const uint8_t* input, size_t len)
+ToeplitzTable::ToeplitzTable(const RssKey& key)
 {
-    uint32_t result = 0;
-    // Sliding 32-bit window over the key, one bit per input bit.
-    uint32_t window = load_be32(key.data());
-    size_t key_bit = 32;
-    for (size_t i = 0; i < len; ++i) {
-        uint8_t byte = input[i];
-        for (int b = 7; b >= 0; --b) {
-            if ((byte >> b) & 1)
-                result ^= window;
-            // Shift the window left by one, pulling in the next key bit.
-            uint8_t next = key_bit < kRssKeyLen * 8
-                               ? (key[key_bit / 8] >> (7 - key_bit % 8)) & 1
-                               : 0;
-            window = window << 1 | next;
-            ++key_bit;
+    // Input bit b (0 = MSB) of byte i XORs in the 32 key bits starting
+    // at bit 8i + b; key bits past the end are zero.
+    auto window = [&key](size_t bit) {
+        uint64_t w = 0;
+        for (size_t k = 0; k < 8; ++k) {
+            size_t idx = bit / 8 + k;
+            w = w << 8 | (idx < kRssKeyLen ? key[idx] : 0);
+        }
+        return uint32_t(w >> (32 - bit % 8));
+    };
+    for (size_t i = 0; i < kRssKeyLen; ++i) {
+        auto& t = table_[i];
+        t[0] = 0;
+        for (int b = 0; b < 8; ++b)
+            t[0x80u >> b] = window(8 * i + size_t(b));
+        for (uint32_t v = 1; v < 256; ++v) {
+            uint32_t low = v & -v;
+            if (v != low)
+                t[v] = t[v & (v - 1)] ^ t[low];
         }
     }
+}
+
+uint32_t
+ToeplitzTable::hash(const uint8_t* input, size_t len) const
+{
+    uint32_t result = 0;
+    if (len > kRssKeyLen)
+        len = kRssKeyLen;
+    for (size_t i = 0; i < len; ++i)
+        result ^= table_[i][input[i]];
     return result;
 }
 
 uint32_t
-toeplitz_ipv4(const RssKey& key, uint32_t src_ip, uint32_t dst_ip,
-              uint16_t sport, uint16_t dport)
+ToeplitzTable::ipv4(uint32_t src_ip, uint32_t dst_ip, uint16_t sport,
+                    uint16_t dport) const
 {
     uint8_t input[12];
     store_be32(input, src_ip);
     store_be32(input + 4, dst_ip);
     store_be16(input + 8, sport);
     store_be16(input + 10, dport);
-    return toeplitz_hash(key, input, sizeof(input));
+    return hash(input, sizeof(input));
+}
+
+const ToeplitzTable&
+default_rss_table()
+{
+    static const ToeplitzTable table(default_rss_key());
+    return table;
 }
 
 } // namespace fld::net

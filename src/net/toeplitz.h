@@ -22,13 +22,30 @@ using RssKey = std::array<uint8_t, kRssKeyLen>;
 /** The de-facto standard Microsoft RSS hash key. */
 const RssKey& default_rss_key();
 
-/** Toeplitz hash over an arbitrary input byte string. */
-uint32_t toeplitz_hash(const RssKey& key, const uint8_t* input,
-                       size_t len);
+/**
+ * Toeplitz hash tables for one key. Toeplitz is linear over XOR, so
+ * each input byte contributes table[position][value] independently;
+ * hashing is one lookup per input byte. Input bytes past the key's
+ * window (position >= kRssKeyLen) meet only zero key bits and
+ * contribute nothing.
+ */
+class ToeplitzTable
+{
+  public:
+    explicit ToeplitzTable(const RssKey& key);
 
-/** Toeplitz over the IPv4 4-tuple (src, dst, sport, dport). */
-uint32_t toeplitz_ipv4(const RssKey& key, uint32_t src_ip, uint32_t dst_ip,
-                       uint16_t sport, uint16_t dport);
+    /** Toeplitz hash over an arbitrary input byte string. */
+    uint32_t hash(const uint8_t* input, size_t len) const;
+    /** Hash over the IPv4 4-tuple (src, dst, sport, dport). */
+    uint32_t ipv4(uint32_t src_ip, uint32_t dst_ip, uint16_t sport,
+                  uint16_t dport) const;
+
+  private:
+    std::array<std::array<uint32_t, 256>, kRssKeyLen> table_;
+};
+
+/** Tables for default_rss_key(), built once. */
+const ToeplitzTable& default_rss_table();
 
 } // namespace fld::net
 

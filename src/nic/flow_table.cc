@@ -112,34 +112,25 @@ vip_select(uint32_t pool_id)
 }
 
 FlowFields
-FlowFields::of(const net::Packet& pkt, VportId vport)
+FlowFields::of(const net::ParsedPacket& pp, const net::PacketMeta& meta,
+               VportId vport)
 {
     FlowFields f;
     f.in_vport = vport;
-    f.flow_tag = pkt.meta.flow_tag;
-    f.tunneled = pkt.meta.tunneled;
-    f.vni = pkt.meta.vni;
-
-    net::ParsedPacket pp = net::parse(pkt);
-    if (pp.eth)
-        f.ethertype = pp.eth->ethertype;
-    if (pp.ipv4) {
-        f.ip_proto = pp.ipv4->proto;
-        f.src_ip = pp.ipv4->src;
-        f.dst_ip = pp.ipv4->dst;
-        f.is_fragment = pp.ipv4->is_fragment();
+    f.flow_tag = meta.flow_tag;
+    f.tunneled = meta.tunneled;
+    f.vni = pp.has_vxlan ? pp.vni : meta.vni;
+    f.ethertype = pp.ethertype;
+    if (pp.has_ipv4) {
+        f.ip_proto = pp.proto;
+        f.src_ip = pp.src_ip;
+        f.dst_ip = pp.dst_ip;
+        f.is_fragment = pp.is_ip_fragment();
     }
-    if (pp.udp) {
-        f.sport = pp.udp->sport;
-        f.dport = pp.udp->dport;
+    if (pp.has_l4()) {
+        f.sport = pp.sport;
+        f.dport = pp.dport;
         f.has_l4 = true;
-    } else if (pp.tcp) {
-        f.sport = pp.tcp->sport;
-        f.dport = pp.tcp->dport;
-        f.has_l4 = true;
-    }
-    if (pp.vxlan) {
-        f.vni = pp.vxlan->vni;
     }
     return f;
 }

@@ -121,8 +121,14 @@ struct FlowFields
     bool tunneled = false;
     uint32_t flow_tag = 0;
 
-    /** Extract fields from a packet entering at @p vport. */
-    static FlowFields of(const net::Packet& pkt, VportId vport);
+    /** Fields of a packet entering at @p vport, from its parse. */
+    static FlowFields of(const net::ParsedPacket& pp,
+                         const net::PacketMeta& meta, VportId vport);
+    /** Parse @p pkt and extract its fields. */
+    static FlowFields of(const net::Packet& pkt, VportId vport)
+    {
+        return of(net::parse(pkt), pkt.meta, vport);
+    }
 };
 
 /** A set of numbered tables with prioritized rules. */

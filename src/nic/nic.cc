@@ -12,35 +12,36 @@ namespace fld::nic {
 
 namespace {
 
-/** Recompute IPv4 and L4 checksums in place (TX checksum offload). */
+/** Recompute IPv4 and L4 checksums in place (TX checksum offload).
+ *  Checksum bytes are not parse inputs, so @p pp stays valid. */
 void
-fix_checksums(net::Packet& pkt)
+fix_checksums(net::Packet& pkt, const net::ParsedPacket& pp)
 {
-    net::ParsedPacket pp = net::parse(pkt);
-    if (!pp.ipv4)
+    if (!pp.has_ipv4)
         return;
     uint8_t* p = pkt.bytes();
-    size_t ihl = (p[pp.l3_offset] & 0x0f) * 4;
     // IPv4 header checksum.
     p[pp.l3_offset + 10] = 0;
     p[pp.l3_offset + 11] = 0;
-    uint16_t hc = net::ipv4_header_checksum(p + pp.l3_offset, ihl);
+    uint16_t hc = net::ipv4_header_checksum(p + pp.l3_offset, pp.ihl);
     store_be16(p + pp.l3_offset + 10, hc);
 
-    if (pp.ipv4->is_fragment())
+    if (pp.is_ip_fragment())
         return; // L4 checksum spans the whole datagram; cannot fix here
-    size_t l4_len = pp.ipv4->total_len - ihl;
+    if (pp.total_len < pp.ihl)
+        return; // malformed length: no L4 extent to cover
+    size_t l4_len = size_t(pp.total_len) - pp.ihl;
     if (pp.l4_offset + l4_len > pkt.size())
         return;
-    if (pp.udp) {
+    if (pp.has_udp) {
         store_be16(p + pp.l4_offset + 6, 0);
-        uint16_t c = net::l4_checksum(pp.ipv4->src, pp.ipv4->dst,
+        uint16_t c = net::l4_checksum(pp.src_ip, pp.dst_ip,
                                       net::kIpProtoUdp, p + pp.l4_offset,
                                       l4_len);
         store_be16(p + pp.l4_offset + 6, c);
-    } else if (pp.tcp) {
+    } else if (pp.has_tcp) {
         store_be16(p + pp.l4_offset + 16, 0);
-        uint16_t c = net::l4_checksum(pp.ipv4->src, pp.ipv4->dst,
+        uint16_t c = net::l4_checksum(pp.src_ip, pp.dst_ip,
                                       net::kIpProtoTcp, p + pp.l4_offset,
                                       l4_len);
         store_be16(p + pp.l4_offset + 16, c);
@@ -85,6 +86,7 @@ NicDevice::create_sq(const SqConfig& cfg)
     st.cfg = cfg;
     // Shaper burst: a couple of jumbo frames, as in hardware ETS.
     st.shaper = sim::TokenBucket(cfg.rate_limit_gbps, 4096);
+    st.ready.resize(kRetireRingInitialSlots);
     sqs_[sqn] = std::move(st);
     return sqn;
 }
@@ -381,9 +383,7 @@ NicDevice::execute_wqe(uint32_t sqn, Wqe wqe)
     uint64_t seq = it->second.next_exec_seq++;
 
     if (wqe.opcode == WqeOpcode::Nop || wqe.byte_count == 0) {
-        it->second.ready.emplace(seq,
-                                 std::make_pair(wqe,
-                                                std::vector<uint8_t>{}));
+        stage_ready(it->second, seq, wqe, {});
         retire_ready_wqes(sqn);
         return;
     }
@@ -399,10 +399,34 @@ NicDevice::execute_wqe(uint32_t sqn, Wqe wqe)
                      auto it2 = sqs_.find(sqn);
                      if (it2 == sqs_.end())
                          return;
-                     it2->second.ready.emplace(
-                         seq, std::make_pair(wqe, std::move(payload)));
+                     stage_ready(it2->second, seq, wqe,
+                                 std::move(payload));
                      retire_ready_wqes(sqn);
                  });
+}
+
+void
+NicDevice::stage_ready(SqState& sq, uint64_t seq, const Wqe& wqe,
+                       std::vector<uint8_t> payload)
+{
+    size_t ahead = size_t(seq - sq.next_retire_seq);
+    if (ahead >= sq.ready.size()) {
+        // Grow by doubling, unrolling the ring so the head lands at 0.
+        size_t cap = sq.ready.size();
+        while (cap <= ahead)
+            cap *= 2;
+        std::vector<ReadySlot> grown(cap);
+        for (size_t i = 0; i < sq.ready.size(); ++i)
+            grown[i] = std::move(
+                sq.ready[(sq.ready_head + i) & (sq.ready.size() - 1)]);
+        sq.ready = std::move(grown);
+        sq.ready_head = 0;
+    }
+    ReadySlot& slot =
+        sq.ready[(sq.ready_head + ahead) & (sq.ready.size() - 1)];
+    slot.filled = true;
+    slot.wqe = wqe;
+    slot.payload = std::move(payload);
 }
 
 void
@@ -412,10 +436,12 @@ NicDevice::retire_ready_wqes(uint32_t sqn)
     if (it == sqs_.end())
         return;
     SqState& sq = it->second;
-    while (!sq.ready.empty() &&
-           sq.ready.begin()->first == sq.next_retire_seq) {
-        auto [wqe, payload] = std::move(sq.ready.begin()->second);
-        sq.ready.erase(sq.ready.begin());
+    while (sq.ready[sq.ready_head].filled) {
+        ReadySlot& slot = sq.ready[sq.ready_head];
+        slot.filled = false;
+        Wqe wqe = slot.wqe;
+        std::vector<uint8_t> payload = std::move(slot.payload);
+        sq.ready_head = (sq.ready_head + 1) & (sq.ready.size() - 1);
         sq.next_retire_seq++;
         if (wqe.opcode == WqeOpcode::Nop) {
             sq_complete(sqn, wqe);
@@ -436,7 +462,6 @@ NicDevice::eth_send(uint32_t sqn, const Wqe& wqe,
     pkt.meta.next_table = wqe.next_table;
     pkt.meta.queue_id = uint16_t(sqn);
     pkt.meta.corr = wqe.corr;
-    fix_checksums(pkt); // TX checksum offload
 
     stats_.tx_packets++;
     stats_.tx_bytes += pkt.size();
@@ -482,7 +507,12 @@ NicDevice::shaped_egress(uint32_t sqn, net::Packet&& pkt)
     sim::TimePs when = start + cfg_.pipeline_latency;
     eq_.schedule_at(when, [this, vport, start_table,
                            pkt = std::move(pkt)]() mutable {
-        run_pipeline(std::move(pkt), vport, start_table);
+        // TX checksum offload, applied as the frame enters the switch
+        // so the pipeline reuses its parse (RoCE frames are not IPv4
+        // and pass through untouched).
+        net::ParsedPacket pp = net::parse(pkt);
+        fix_checksums(pkt, pp);
+        run_pipeline(std::move(pkt), pp, vport, start_table);
     });
 }
 
@@ -494,6 +524,14 @@ void
 NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                         uint32_t start_table)
 {
+    net::ParsedPacket pp = net::parse(pkt);
+    run_pipeline(std::move(pkt), pp, in_vport, start_table);
+}
+
+void
+NicDevice::run_pipeline(net::Packet&& pkt, net::ParsedPacket pp,
+                        VportId in_vport, uint32_t start_table)
+{
     // Both steering engines share this action walker; they differ
     // only in how the matching action list is found. The fixed
     // interpreter scans the installed rules; the compiled program
@@ -504,7 +542,7 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
         ensure_pipeline_compiled();
 
     uint32_t table = start_table;
-    FlowFields fields = FlowFields::of(pkt, in_vport);
+    FlowFields fields = FlowFields::of(pp, pkt.meta, in_vport);
 
     for (int depth = 0; depth < Pipeline::kMaxDepth; ++depth) {
         const Action* acts = nullptr;
@@ -560,8 +598,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                              name_, "decap", pkt.meta.corr, 0, 0, 1,
                              inner->size());
                 pkt = std::move(*inner);
-                fields = FlowFields::of(pkt, in_vport);
-                fields.flow_tag = pkt.meta.flow_tag;
+                pp = net::parse(pkt);
+                fields = FlowFields::of(pp, pkt.meta, in_vport);
                 break;
               }
               case ActionType::VxlanEncap: {
@@ -574,7 +612,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                     tr->emit(eq_.now(), sim::TraceEventKind::Tunnel,
                              name_, "encap", pkt.meta.corr, 0, 0, 1,
                              pkt.size());
-                fields = FlowFields::of(pkt, in_vport);
+                pp = net::parse(pkt);
+                fields = FlowFields::of(pp, pkt.meta, in_vport);
                 break;
               }
               case ActionType::Meter: {
@@ -590,21 +629,21 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 table = act.arg0;
                 break; // continue outer loop
               case ActionType::ForwardVport:
-                deliver_to_vport(VportId(act.arg0), std::move(pkt));
+                deliver_to_vport(VportId(act.arg0), std::move(pkt), pp);
                 return;
               case ActionType::ForwardTir:
-                deliver_to_tir(act.arg0, std::move(pkt));
+                deliver_to_tir(act.arg0, std::move(pkt), pp);
                 return;
               case ActionType::ForwardQueue:
-                offload_rx_checks(pkt);
-                deliver_to_rq(act.arg0, std::move(pkt));
+                offload_rx_checks(pkt, pp);
+                deliver_to_rq(act.arg0, std::move(pkt), pp);
                 return;
               case ActionType::SendToAccel:
                 // FLD-E acceleration action: annotate with the table to
                 // resume at, then deliver to the accelerator's RQ.
                 pkt.meta.next_table = act.arg1;
-                offload_rx_checks(pkt);
-                deliver_to_rq(act.arg0, std::move(pkt));
+                offload_rx_checks(pkt, pp);
+                deliver_to_rq(act.arg0, std::move(pkt), pp);
                 return;
               case ActionType::Drop:
                 stats_.drops_rule++;
@@ -615,8 +654,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 emit(NicEvent::Type::AclDeny, act.arg0);
                 return;
               case ActionType::NatRewrite:
-                nat_rewrite_packet(pkt, act);
-                fields = FlowFields::of(pkt, in_vport);
+                nat_rewrite_packet(pkt, pp, act);
+                fields = FlowFields::of(pp, pkt.meta, in_vport);
                 break;
               case ActionType::VipSelect: {
                 auto pit = vip_pools_.find(act.arg0);
@@ -627,8 +666,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 }
                 Action nat = nat_dst(
                     select_vip_backend(pit->second, fields));
-                nat_rewrite_packet(pkt, nat);
-                fields = FlowFields::of(pkt, in_vport);
+                nat_rewrite_packet(pkt, pp, nat);
+                fields = FlowFields::of(pp, pkt.meta, in_vport);
                 break;
               }
             }
@@ -647,17 +686,17 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
 }
 
 void
-NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
+NicDevice::nat_rewrite_packet(net::Packet& pkt, net::ParsedPacket& pp,
+                              const Action& act)
 {
-    net::ParsedPacket pp = net::parse(pkt);
-    if (!pp.ipv4)
+    if (!pp.has_ipv4)
         return;
     uint8_t* p = pkt.bytes();
     if (act.arg0 & kNatSrcIp)
         store_be32(p + pp.l3_offset + 12, act.arg3);
     if (act.arg0 & kNatDstIp)
         store_be32(p + pp.l3_offset + 16, act.arg1);
-    if (!pp.ipv4->is_fragment() && (pp.udp || pp.tcp)) {
+    if (!pp.is_ip_fragment() && pp.has_l4()) {
         if (act.arg0 & kNatSrcPort)
             store_be16(p + pp.l4_offset + 0, uint16_t(act.arg2 >> 16));
         if (act.arg0 & kNatDstPort)
@@ -666,7 +705,8 @@ NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
     }
     // The pseudo-header covers the rewritten addresses, so both
     // checksums go stale; refresh them like TX offload does.
-    fix_checksums(pkt);
+    pp = net::parse(pkt);
+    fix_checksums(pkt, pp);
 }
 
 bool
@@ -685,36 +725,37 @@ NicDevice::rx_table_matches(uint32_t table, const FlowFields& fields)
 }
 
 void
-NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt)
+NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt,
+                            const net::ParsedPacket& pp)
 {
     if (vport == kUplinkVport) {
         uplink_.transmit(std::move(pkt));
         return;
     }
     // Hardware-transport packets are consumed by the RDMA engine.
-    net::ParsedPacket pp = net::parse(pkt);
-    if (pp.eth && pp.eth->ethertype == kEtherTypeRoce) {
+    if (pp.has_eth && pp.ethertype == kEtherTypeRoce) {
         rdma_rx(vport, std::move(pkt));
         return;
     }
     auto tit = vport_rx_table_.find(vport);
     if (tit != vport_rx_table_.end()) {
-        FlowFields fields = FlowFields::of(pkt, vport);
+        FlowFields fields = FlowFields::of(pp, pkt.meta, vport);
         if (rx_table_matches(tit->second, fields)) {
-            run_pipeline(std::move(pkt), vport, tit->second);
+            run_pipeline(std::move(pkt), pp, vport, tit->second);
             return;
         }
     }
     auto dit = vport_default_tir_.find(vport);
     if (dit != vport_default_tir_.end()) {
-        deliver_to_tir(dit->second, std::move(pkt));
+        deliver_to_tir(dit->second, std::move(pkt), pp);
         return;
     }
     stats_.drops_no_rule++;
 }
 
 void
-NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt)
+NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt,
+                          const net::ParsedPacket& pp)
 {
     auto it = tirs_.find(tir);
     if (it == tirs_.end() || it->second.rqns.empty()) {
@@ -726,45 +767,42 @@ NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt)
     // RSS: 4-tuple hash when L4 is visible; IP-pair hash otherwise.
     // IP fragments hide their ports, so *all* fragments between two
     // hosts collapse onto one queue — the §8.2.2 failure mode.
-    FlowFields f = FlowFields::of(pkt, 0);
+    const net::ToeplitzTable& rss = net::default_rss_table();
     uint32_t hash;
-    if (f.has_l4 && !f.is_fragment) {
-        hash = net::toeplitz_ipv4(net::default_rss_key(), f.src_ip,
-                                  f.dst_ip, f.sport, f.dport);
+    if (pp.has_l4() && !pp.is_ip_fragment()) {
+        hash = rss.ipv4(pp.src_ip, pp.dst_ip, pp.sport, pp.dport);
     } else {
         uint8_t input[8];
-        store_be32(input, f.src_ip);
-        store_be32(input + 4, f.dst_ip);
-        hash = net::toeplitz_hash(net::default_rss_key(), input, 8);
+        store_be32(input, pp.src_ip);
+        store_be32(input + 4, pp.dst_ip);
+        hash = rss.hash(input, 8);
     }
     pkt.meta.rss_hash = hash;
-    offload_rx_checks(pkt);
-    deliver_to_rq(rqns[hash % rqns.size()], std::move(pkt));
+    offload_rx_checks(pkt, pp);
+    deliver_to_rq(rqns[hash % rqns.size()], std::move(pkt), pp);
 }
 
 void
-NicDevice::offload_rx_checks(net::Packet& pkt)
+NicDevice::offload_rx_checks(net::Packet& pkt, const net::ParsedPacket& pp)
 {
-    net::ParsedPacket pp = net::parse(pkt);
     pkt.meta.l3_csum_ok = false;
     pkt.meta.l4_csum_ok = false;
-    if (!pp.ipv4)
+    if (!pp.has_ipv4)
         return;
     const uint8_t* p = pkt.bytes();
-    size_t ihl = (p[pp.l3_offset] & 0x0f) * 4;
+    size_t ihl = pp.ihl;
     pkt.meta.l3_csum_ok =
         net::internet_checksum(p + pp.l3_offset, ihl) == 0;
-    if (pp.ipv4->is_fragment())
+    if (pp.is_ip_fragment())
         return; // L4 checksum cannot be validated on fragments
-    size_t l4_len = pp.ipv4->total_len >= ihl
-                        ? size_t(pp.ipv4->total_len) - ihl : 0;
-    if ((pp.udp || pp.tcp) && pp.l4_offset + l4_len <= pkt.size()) {
+    size_t l4_len = pp.total_len >= ihl ? size_t(pp.total_len) - ihl : 0;
+    if (pp.has_l4() && pp.l4_offset + l4_len <= pkt.size()) {
         uint32_t acc = 0;
-        acc += pp.ipv4->src >> 16;
-        acc += pp.ipv4->src & 0xffff;
-        acc += pp.ipv4->dst >> 16;
-        acc += pp.ipv4->dst & 0xffff;
-        acc += pp.ipv4->proto;
+        acc += pp.src_ip >> 16;
+        acc += pp.src_ip & 0xffff;
+        acc += pp.dst_ip >> 16;
+        acc += pp.dst_ip & 0xffff;
+        acc += pp.proto;
         acc += uint32_t(l4_len);
         acc = net::checksum_partial(p + pp.l4_offset, l4_len, acc);
         pkt.meta.l4_csum_ok = net::checksum_fold(acc) == 0;
@@ -840,6 +878,7 @@ NicDevice::maybe_fetch_rx_descs(uint32_t rqn)
 
 bool
 NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
+                         const net::ParsedPacket& pp,
                          std::optional<Cqe> rdma_info)
 {
     if (rx_probe_)
@@ -907,11 +946,8 @@ NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
             cqe.flags |= kCqeL4Ok;
         if (pkt.meta.tunneled)
             cqe.flags |= kCqeTunneled;
-        {
-            net::ParsedPacket pp = net::parse(pkt);
-            if (pp.is_ip_fragment())
-                cqe.flags |= kCqeIpFrag;
-        }
+        if (pp.is_ip_fragment())
+            cqe.flags |= kCqeIpFrag;
         // FLD-E resume table rides in the unused msg_offset field for
         // Ethernet completions.
         if (!rdma_info)
@@ -1245,8 +1281,12 @@ NicDevice::rdma_rx(VportId vport, net::Packet&& pkt)
         info.flags |= kCqeRdmaLast;
 
     // Receiver-not-ready: leave PSN state untouched and do not ACK,
-    // so the sender's go-back-N timer retries the whole message.
-    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), info))
+    // so the sender's go-back-N timer retries the whole message. The
+    // CQE's IpFrag flag comes from a parse of the delivered bytes, as
+    // for Ethernet completions, even though an RDMA payload is not a
+    // frame.
+    net::ParsedPacket pp = net::parse(payload);
+    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), pp, info))
         return;
 
     qp.expected_psn++;

@@ -101,6 +101,10 @@ struct NicEvent
     uint32_t id = 0; ///< rqn / qpn / rule id
 };
 
+/** In-order retirement window a send queue is created with, in WQEs;
+ *  it doubles whenever more WQEs are gathered ahead of the oldest. */
+constexpr size_t kRetireRingInitialSlots = 16;
+
 /** Aggregate datapath statistics. */
 struct NicStats
 {
@@ -222,6 +226,12 @@ class NicDevice : public pcie::PcieEndpoint
 
   private:
     // ---- send path ----
+    struct ReadySlot
+    {
+        bool filled = false; ///< payload gathered, awaiting retirement
+        Wqe wqe;
+        std::vector<uint8_t> payload;
+    };
     struct SqState
     {
         SqConfig cfg;
@@ -233,10 +243,15 @@ class NicDevice : public pcie::PcieEndpoint
         bool is_rdma = false;  ///< set when adopted by a QP
         uint32_t qpn = 0;
         // In-order retirement: payload gathers pipeline freely, but
-        // WQEs execute (send + complete) strictly in ring order.
+        // WQEs execute (send + complete) strictly in ring order. WQE
+        // seq waits in ready[(ready_head + seq - next_retire_seq) &
+        // (ready.size() - 1)]. The ring is allocated with the SQ and
+        // only grows, so once it has reached the queue's working depth
+        // a WQE allocates nothing.
         uint64_t next_exec_seq = 0;
         uint64_t next_retire_seq = 0;
-        std::map<uint64_t, std::pair<Wqe, std::vector<uint8_t>>> ready;
+        std::vector<ReadySlot> ready; ///< power-of-two size
+        size_t ready_head = 0;        ///< slot of next_retire_seq
     };
     // ---- receive path ----
     struct RqState
@@ -294,6 +309,9 @@ class NicDevice : public pcie::PcieEndpoint
     void doorbell_sq_inline(uint32_t sqn, uint32_t pi, const Wqe& wqe);
     void maybe_fetch_wqes(uint32_t sqn);
     void execute_wqe(uint32_t sqn, Wqe wqe);
+    /** Park WQE @p seq until every earlier WQE has retired. */
+    static void stage_ready(SqState& sq, uint64_t seq, const Wqe& wqe,
+                            std::vector<uint8_t> payload);
     void retire_ready_wqes(uint32_t sqn);
     void eth_send(uint32_t sqn, const Wqe& wqe,
                   std::vector<uint8_t> payload);
@@ -306,24 +324,34 @@ class NicDevice : public pcie::PcieEndpoint
     void doorbell_rq(uint32_t rqn, uint32_t pi);
     void maybe_fetch_rx_descs(uint32_t rqn);
     void wire_receive(net::Packet&& pkt);
+    // Each NIC pass parses a frame once (net::parse) and hands that
+    // parse down the delivery chain; whoever rewrites frame bytes
+    // (VXLAN decap/encap, NAT, VIP select) re-parses.
     /** Returns false when the packet was dropped for lack of buffers. */
     bool deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
+                       const net::ParsedPacket& pp,
                        std::optional<Cqe> rdma_info = {});
-    void deliver_to_tir(uint32_t tir, net::Packet&& pkt);
-    void deliver_to_vport(VportId vport, net::Packet&& pkt);
+    void deliver_to_tir(uint32_t tir, net::Packet&& pkt,
+                        const net::ParsedPacket& pp);
+    void deliver_to_vport(VportId vport, net::Packet&& pkt,
+                          const net::ParsedPacket& pp);
 
     // pipeline
     void run_pipeline(net::Packet&& pkt, VportId in_vport,
                       uint32_t start_table);
-    void offload_rx_checks(net::Packet& pkt);
+    void run_pipeline(net::Packet&& pkt, net::ParsedPacket pp,
+                      VportId in_vport, uint32_t start_table);
+    void offload_rx_checks(net::Packet& pkt, const net::ParsedPacket& pp);
     /** Recompile the flows-derived program when rules changed. */
     void ensure_pipeline_compiled();
     /** Would run_pipeline find work in @p table for @p fields? Used by
      *  vport delivery to decide rule steering vs the default TIR. */
     bool rx_table_matches(uint32_t table, const FlowFields& fields);
-    /** Rewrite IPv4 addrs/ports per a NatRewrite-shaped action and fix
-     *  the IP header + L4 checksums; no-op on non-IPv4 packets. */
-    static void nat_rewrite_packet(net::Packet& pkt, const Action& act);
+    /** Rewrite IPv4 addrs/ports per a NatRewrite-shaped action, re-parse
+     *  into @p pp and fix the IP header + L4 checksums; no-op on
+     *  non-IPv4 packets. */
+    static void nat_rewrite_packet(net::Packet& pkt, net::ParsedPacket& pp,
+                                   const Action& act);
 
     // rdma
     void rdma_rx(VportId vport, net::Packet&& pkt);

@@ -57,10 +57,10 @@ TernaryField ternary_masked(uint32_t value, uint32_t mask);
 
 /**
  * Ternary key over the parsed field vector. Field extraction is the
- * parser stage: FlowFields::of pulls eth/IPv4/TCP-UDP/VXLAN headers
- * plus metadata (vport, tag). Semantics mirror FlowMatch: sport/dport
- * components with a non-zero mask additionally require a parsed L4
- * header (fragments never match a ported key).
+ * parser stage: FlowFields::of takes eth/IPv4/TCP-UDP/VXLAN fields
+ * from net::parse plus metadata (vport, tag). Semantics mirror
+ * FlowMatch: sport/dport components with a non-zero mask additionally
+ * require a parsed L4 header (fragments never match a ported key).
  */
 struct PipelineKey
 {

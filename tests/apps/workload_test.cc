@@ -80,10 +80,13 @@ TEST(TrexGen, FramesCarryVerifiableTokens)
     net::Packet gp = trex.make_frame(0);
     EXPECT_EQ(gp.size(), 512u);
     net::ParsedPacket pp = net::parse(gp);
-    ASSERT_TRUE(pp.udp);
-    EXPECT_EQ(pp.udp->dport, net::kCoapPort);
+    ASSERT_TRUE(pp.has_udp);
+    EXPECT_EQ(pp.dport, net::kCoapPort);
     // UDP length is authoritative; trailing L2 padding is ignored.
-    size_t coap_len = pp.udp->length - net::kUdpHeaderLen;
+    auto udp_len = [](const net::Packet& p, const net::ParsedPacket& q) {
+        return net::UdpHeader::decode(p.bytes() + q.l4_offset).length;
+    };
+    size_t coap_len = udp_len(gp, pp) - net::kUdpHeaderLen;
     auto coap = net::CoapMessage::decode(gp.bytes() + pp.payload_offset,
                                          coap_len);
     ASSERT_TRUE(coap.has_value());
@@ -95,7 +98,7 @@ TEST(TrexGen, FramesCarryVerifiableTokens)
     net::ParsedPacket bpp = net::parse(bp);
     auto bcoap = net::CoapMessage::decode(
         bp.bytes() + bpp.payload_offset,
-        size_t(bpp.udp->length - net::kUdpHeaderLen));
+        size_t(udp_len(bp, bpp) - net::kUdpHeaderLen));
     ASSERT_TRUE(bcoap.has_value());
     std::string btoken(bcoap->payload.begin(), bcoap->payload.end());
     EXPECT_FALSE(net::jwt_verify_hs256(btoken, "k2").valid)

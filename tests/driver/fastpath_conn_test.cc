@@ -75,10 +75,11 @@ struct DirectPair
     bool forward(net::Packet&& f, bool to_server)
     {
         net::ParsedPacket pp = net::parse(f);
-        if (pp.tcp) {
-            uint16_t cport = to_server ? pp.tcp->sport : pp.tcp->dport;
-            auto sig = std::make_tuple(to_server, pp.tcp->seq,
-                                       pp.tcp->ack, pp.tcp->flags,
+        if (pp.has_tcp) {
+            net::TcpHeader th =
+                net::TcpHeader::decode(f.bytes() + pp.l4_offset);
+            uint16_t cport = to_server ? th.sport : th.dport;
+            auto sig = std::make_tuple(to_server, th.seq, th.ack, th.flags,
                                        uint32_t(pp.payload_len));
             if (!seen_[cport].insert(sig).second)
                 ++wire_dups[cport];
@@ -661,8 +662,8 @@ TEST(FastPathIsolation, PerNextHopArpDoesNotBlockResolvedFlows)
     uint64_t arp_frames = 0;
     fp.set_tx([&](net::Packet&& f) {
         net::ParsedPacket pp = net::parse(f);
-        if (pp.ipv4 && pp.tcp)
-            ++tcp_frames_to[pp.ipv4->dst];
+        if (pp.has_tcp)
+            ++tcp_frames_to[pp.dst_ip];
         else
             ++arp_frames;
         return true;

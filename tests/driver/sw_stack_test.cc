@@ -28,6 +28,13 @@ struct TxCapture
     }
 };
 
+/** The TCP header of a transmitted frame. */
+net::TcpHeader
+tcp_of(const net::Packet& f)
+{
+    return net::TcpHeader::decode(f.bytes() + net::parse(f).l4_offset);
+}
+
 SendStackConfig
 small_config()
 {
@@ -139,7 +146,7 @@ TEST(SwSendStack, StaticArpEntrySkipsResolution)
     stack.send(pattern(50));
     ASSERT_EQ(tx.frames.size(), 1u);
     net::ParsedPacket pp = net::parse(tx.frames[0]);
-    ASSERT_TRUE(pp.tcp.has_value());
+    ASSERT_TRUE(pp.has_tcp);
     EXPECT_EQ(stack.arp_requests(), 0u);
 }
 
@@ -163,15 +170,16 @@ TEST(SwSendStack, SegmentsAtMssBoundaries)
     size_t off = 0;
     for (size_t i = 0; i < tx.frames.size(); ++i) {
         net::ParsedPacket pp = net::parse(tx.frames[i]);
-        ASSERT_TRUE(pp.tcp.has_value()) << "segment " << i;
-        EXPECT_EQ(pp.tcp->seq, expect_seq) << "segment " << i;
+        ASSERT_TRUE(pp.has_tcp) << "segment " << i;
+        EXPECT_EQ(tcp_of(tx.frames[i]).seq, expect_seq) << "segment " << i;
         size_t want = (i < 3) ? cfg.mss : 7u;
         ASSERT_EQ(pp.payload_len, want) << "segment " << i;
         EXPECT_EQ(0, std::memcmp(tx.frames[i].bytes() + pp.payload_offset,
                                  data.data() + off, want))
             << "segment " << i;
         // PSH marks the end of the application write, nothing earlier.
-        EXPECT_EQ((pp.tcp->flags & 0x08) != 0, i == 3) << "segment " << i;
+        EXPECT_EQ((tcp_of(tx.frames[i]).flags & 0x08) != 0, i == 3)
+            << "segment " << i;
         expect_seq += uint32_t(want);
         off += want;
     }
@@ -190,7 +198,7 @@ TEST(SwSendStack, ExactMultipleOfMssHasNoEmptyTail)
     ASSERT_EQ(tx.frames.size(), 2u);
     net::ParsedPacket last = net::parse(tx.frames[1]);
     EXPECT_EQ(last.payload_len, cfg.mss);
-    EXPECT_TRUE(last.tcp->flags & 0x08); // still PSH-terminated
+    EXPECT_TRUE(tcp_of(tx.frames[1]).flags & 0x08); // still PSH-terminated
 }
 
 TEST(SwSendStack, WindowLimitsInFlightSegments)
@@ -245,8 +253,8 @@ TEST(SwSendStack, TimeoutRetransmitsWholeWindow)
     // Go-back-N: both segments resent, same sequence numbers.
     ASSERT_EQ(tx.frames.size(), 4u);
     EXPECT_EQ(stack.retransmits(), 2u);
-    EXPECT_EQ(net::parse(tx.frames[2]).tcp->seq, 1u);
-    EXPECT_EQ(net::parse(tx.frames[3]).tcp->seq, 1u + cfg.mss);
+    EXPECT_EQ(tcp_of(tx.frames[2]).seq, 1u);
+    EXPECT_EQ(tcp_of(tx.frames[3]).seq, 1u + cfg.mss);
     // And the timer is armed again for the retransmission.
     EXPECT_TRUE(stack.timer_armed());
 }
@@ -294,7 +302,7 @@ TEST(SwSendStack, StaleTimerDoesNotRetransmitAfterProgress)
     // The fresh timer still protects segment 2.
     eq.run_until(cfg.rto / 2 + cfg.rto + sim::microseconds(1));
     EXPECT_EQ(stack.retransmits(), 1u);
-    EXPECT_EQ(net::parse(tx.frames.back()).tcp->seq, 1u + cfg.mss);
+    EXPECT_EQ(tcp_of(tx.frames.back()).seq, 1u + cfg.mss);
 }
 
 TEST(SwSendStack, DuplicateAckIsIgnored)

@@ -88,10 +88,11 @@ struct FaultyWire
     {
         sim::TimePs delay = sim::nanoseconds(500);
         net::ParsedPacket pp = net::parse(f);
-        if (pp.tcp) {
-            uint16_t cport = to_server ? pp.tcp->sport : pp.tcp->dport;
-            auto sig = std::make_tuple(to_server, pp.tcp->seq,
-                                       pp.tcp->ack, pp.tcp->flags,
+        if (pp.has_tcp) {
+            net::TcpHeader th =
+                net::TcpHeader::decode(f.bytes() + pp.l4_offset);
+            uint16_t cport = to_server ? th.sport : th.dport;
+            auto sig = std::make_tuple(to_server, th.seq, th.ack, th.flags,
                                        uint32_t(pp.payload_len));
             if (!seen_[cport].insert(sig).second)
                 ++wire_dups[cport];

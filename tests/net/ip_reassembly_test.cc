@@ -42,12 +42,12 @@ TEST(IpFragment, SplitsRespectMtuAndAlignment)
     ASSERT_GE(frags.size(), 2u);
     for (size_t i = 0; i < frags.size(); ++i) {
         ParsedPacket pp = parse(frags[i]);
-        ASSERT_TRUE(pp.ipv4);
-        EXPECT_LE(pp.ipv4->total_len, 1450);
-        EXPECT_EQ(pp.ipv4->more_fragments, i + 1 < frags.size());
+        ASSERT_TRUE(pp.has_ipv4);
+        EXPECT_LE(pp.total_len, 1450);
+        EXPECT_EQ(pp.more_fragments, i + 1 < frags.size());
         if (i + 1 < frags.size()) {
             // All but the last carry 8-byte-aligned payloads.
-            EXPECT_EQ((pp.ipv4->total_len - kIpv4HeaderLen) % 8, 0u);
+            EXPECT_EQ((pp.total_len - kIpv4HeaderLen) % 8, 0u);
         }
     }
 }
@@ -112,9 +112,12 @@ TEST(IpReassembler, RandomOrderManyDatagramsInterleaved)
     ASSERT_EQ(out.size(), originals.size());
     // Match reassembled datagrams to originals by IP id.
     for (const auto& o : originals) {
-        uint16_t id = parse(o).ipv4->id;
+        auto ip_id = [](const Packet& p) {
+            return Ipv4Header::decode(p.bytes() + parse(p).l3_offset).id;
+        };
+        uint16_t id = ip_id(o);
         auto it = std::find_if(out.begin(), out.end(), [&](const Packet& p) {
-            return parse(p).ipv4->id == id;
+            return ip_id(p) == id;
         });
         ASSERT_NE(it, out.end());
         EXPECT_EQ(it->data, o.data);
@@ -191,13 +194,13 @@ TEST(IpReassembler, PartiallyOverlappingFragmentsFirstWriterWins)
     size_t covered = 0; // bytes covered by the pushed set-A prefix
     for (size_t i = 0; i < half; ++i) {
         r2.push(a[i]);
-        covered += parse(a[i]).ipv4->total_len - kIpv4HeaderLen;
+        covered += parse(a[i]).total_len - kIpv4HeaderLen;
     }
     uint64_t expect_overlaps = 0;
     std::optional<Packet> done2;
     for (auto& f : b) {
         ParsedPacket pp = parse(f);
-        if (size_t(pp.ipv4->frag_offset) * 8 < covered)
+        if (size_t(pp.frag_offset) * 8 < covered)
             ++expect_overlaps;
         if (auto r = r2.push(f))
             done2 = r;

@@ -195,10 +195,10 @@ TEST(VxlanProperty, EncapDecapRoundTripIsBitExact)
 
         // Outer framing: UDP to the VXLAN port, 50 B of overhead.
         net::ParsedPacket opp = net::parse(outer);
-        ASSERT_TRUE(opp.udp) << "iteration " << i;
-        EXPECT_EQ(opp.udp->dport, net::kVxlanPort);
-        ASSERT_TRUE(opp.vxlan);
-        EXPECT_EQ(opp.vxlan->vni, vni);
+        ASSERT_TRUE(opp.has_udp) << "iteration " << i;
+        EXPECT_EQ(opp.dport, net::kVxlanPort);
+        ASSERT_TRUE(opp.has_vxlan);
+        EXPECT_EQ(opp.vni, vni);
         EXPECT_EQ(outer.size(),
                   inner.size() + net::kEthHeaderLen +
                       net::kIpv4HeaderLen + net::kUdpHeaderLen +
@@ -266,9 +266,8 @@ TEST(VxlanSteering, PipelineDecapSteersByInnerTupleRss)
     for (int i = 0; i < 200; ++i) {
         net::Packet inner = random_inner(rng);
         net::ParsedPacket ipp = net::parse(inner);
-        uint32_t hash = net::toeplitz_ipv4(
-            net::default_rss_key(), ipp.ipv4->src, ipp.ipv4->dst,
-            ipp.udp->sport, ipp.udp->dport);
+        uint32_t hash = net::default_rss_table().ipv4(
+            ipp.src_ip, ipp.dst_ip, ipp.sport, ipp.dport);
         expect_rqn.push_back(rqns[hash % rqns.size()]);
         expect_size.push_back(inner.size());
 
@@ -319,11 +318,13 @@ TEST(VxlanSteering, PipelineEncapHairpinProducesValidOuter)
         // Rewrite the UDP dport to hit the encap rule (rebuild so the
         // checksum stays valid).
         net::ParsedPacket ipp = net::parse(inner);
+        net::EthHeader eh = net::EthHeader::decode(inner.bytes());
+        uint16_t id = net::Ipv4Header::decode(inner.bytes() +
+                                              ipp.l3_offset).id;
         inner = net::PacketBuilder()
-                    .eth(ipp.eth->src, ipp.eth->dst)
-                    .ipv4(ipp.ipv4->src, ipp.ipv4->dst,
-                          net::kIpProtoUdp, ipp.ipv4->id)
-                    .udp(ipp.udp->sport, 7777)
+                    .eth(eh.src, eh.dst)
+                    .ipv4(ipp.src_ip, ipp.dst_ip, net::kIpProtoUdp, id)
+                    .udp(ipp.sport, 7777)
                     .payload(inner.bytes() + ipp.payload_offset,
                              ipp.payload_len)
                     .build();
@@ -335,10 +336,10 @@ TEST(VxlanSteering, PipelineEncapHairpinProducesValidOuter)
     ASSERT_EQ(wire.size(), 50u);
     for (size_t i = 0; i < wire.size(); ++i) {
         net::ParsedPacket opp = net::parse(wire[i]);
-        ASSERT_TRUE(opp.vxlan) << "frame " << i;
-        EXPECT_EQ(opp.vxlan->vni, vni);
-        EXPECT_EQ(opp.ipv4->src, net::ipv4_addr(172, 16, 0, 1));
-        EXPECT_EQ(opp.ipv4->dst, net::ipv4_addr(172, 16, 0, 2));
+        ASSERT_TRUE(opp.has_vxlan) << "frame " << i;
+        EXPECT_EQ(opp.vni, vni);
+        EXPECT_EQ(opp.src_ip, net::ipv4_addr(172, 16, 0, 1));
+        EXPECT_EQ(opp.dst_ip, net::ipv4_addr(172, 16, 0, 2));
         auto back = net::vxlan_decapsulate(wire[i]);
         ASSERT_TRUE(back.has_value()) << "frame " << i;
         EXPECT_EQ(back->data, sent[i]) << "frame " << i;

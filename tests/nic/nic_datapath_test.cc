@@ -6,11 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "net/checksum.h"
 #include "net/headers.h"
 #include "nic/nic.h"
+#include "sim/fault.h"
+#include "sim/trace.h"
 #include "tests/nic/nic_test_fixture.h"
 
 namespace fld::nic {
@@ -108,7 +111,7 @@ TEST(NicTx, ChecksumOffloadFixesCorruptedChecksums)
 
     ASSERT_EQ(wire.size(), 1u);
     net::ParsedPacket pp = net::parse(wire[0]);
-    ASSERT_TRUE(pp.ipv4);
+    ASSERT_TRUE(pp.has_ipv4);
     EXPECT_EQ(net::internet_checksum(wire[0].bytes() + pp.l3_offset,
                                      net::kIpv4HeaderLen),
               0);
@@ -135,6 +138,90 @@ TEST(NicTx, MultipleWqesCompleteInOrder)
     ASSERT_EQ(cqes.size(), size_t(n));
     for (int i = 0; i < n; ++i)
         EXPECT_EQ(cqes[i].wqe_counter, i);
+}
+
+/** Queue one signaled NOP WQE and ring the doorbell. */
+void post_nop(NicHarness& h, NicHarness::Sq& sq)
+{
+    Wqe wqe;
+    wqe.opcode = WqeOpcode::Nop;
+    wqe.signaled = true;
+    wqe.wqe_index = uint16_t(sq.pi);
+    uint8_t enc[kWqeStride];
+    wqe.encode(enc);
+    uint64_t slot = sq.pi % sq.entries;
+    std::memcpy(h.hostmem.raw(sq.ring + slot * kWqeStride, kWqeStride),
+                enc, kWqeStride);
+    sq.pi++;
+    h.ring_sq_doorbell(sq);
+}
+
+TEST(NicTx, RetirementFollowsRingOrderUnderDelayedGathers)
+{
+    // Payload reads complete late (fault mode keeps them FIFO behind
+    // one another), while NOP and zero-byte WQEs need no gather: they
+    // are ready long before the payload WQEs ahead of them and must
+    // still wait their turn. Far more WQEs are in flight than the
+    // retirement ring starts with, so it has to grow mid-stream.
+    pcie::TlpParams tlp;
+    tlp.faults.read_delay_prob = 0.5;
+    tlp.faults.read_delay_max = sim::microseconds(2);
+    tlp.faults.read_stall_prob = 0.05;
+    Testbed tb(false, {}, tlp);
+    sim::FaultPlan plan(7);
+    tb.fabric.set_fault_plan(&plan);
+    auto& h = *tb.a;
+    VportId v = h.nic->add_vport();
+    std::vector<Cqe> cqes;
+    uint32_t cqn = h.make_cq(512, &cqes);
+    auto sq = h.make_sq(256, cqn, v);
+    FlowMatch m;
+    m.in_vport = v;
+    h.nic->add_rule(0, 0, m, {fwd_vport(kUplinkVport)});
+    std::vector<std::vector<uint8_t>> wire;
+    h.nic->uplink().set_tx_hook(
+        [&](net::Packet&& p) { wire.push_back(std::move(p.data)); });
+
+    sim::Tracer tracer;
+    tracer.install();
+    const int n = int(8 * kRetireRingInitialSlots);
+    std::vector<std::vector<uint8_t>> expect_wire;
+    std::vector<bool> gathers(n, false);
+    for (int i = 0; i < n; ++i) {
+        if (i % 4 == 1) {
+            post_nop(h, sq);
+        } else if (i % 4 == 3) {
+            h.post_tx(sq, {}); // zero-byte send: no gather either
+            expect_wire.emplace_back();
+        } else {
+            auto frame = udp_frame(64 + i % 32, uint16_t(1000 + i));
+            h.post_tx(sq, frame);
+            expect_wire.push_back(frame);
+            gathers[i] = true;
+        }
+    }
+    tb.eq.run();
+    tracer.uninstall();
+
+    // Sends leave in ring order, completions arrive in ring order.
+    EXPECT_EQ(wire, expect_wire);
+    ASSERT_EQ(cqes.size(), size_t(n));
+    for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(cqes[i].opcode, CqeOpcode::TxOk);
+        EXPECT_EQ(cqes[i].wqe_counter, i) << "completion " << i;
+    }
+
+    // Gathers issued but not yet retired: the window the ring holds.
+    int outstanding = 0, peak = 0;
+    for (const sim::TraceEvent& e : tracer.events()) {
+        if (e.kind == sim::TraceEventKind::PayloadRead)
+            ++outstanding;
+        else if (e.kind == sim::TraceEventKind::CqeWrite &&
+                 gathers[e.index])
+            --outstanding;
+        peak = std::max(peak, outstanding);
+    }
+    EXPECT_GT(peak, int(kRetireRingInitialSlots));
 }
 
 TEST(NicRx, WireToRqWithCqe)

@@ -194,7 +194,9 @@ struct Testbed
     std::unique_ptr<NicHarness> b; ///< only with two_nics = true
     std::unique_ptr<EthernetLink> link;
 
-    explicit Testbed(bool two_nics = false, NicConfig cfg = {})
+    explicit Testbed(bool two_nics = false, NicConfig cfg = {},
+                     pcie::TlpParams tlp = {})
+        : fabric(eq, tlp)
     {
         host_port =
             fabric.add_port("host.pcie", 50.0, sim::nanoseconds(150));

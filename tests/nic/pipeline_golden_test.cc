@@ -171,11 +171,13 @@ TEST(PipelineGolden, TagSteeringStatsAreIdentical)
             net::Packet p = random_udp(rng);
             if (rng.chance(0.5)) { // rebuild onto the tagged port
                 net::ParsedPacket pp = net::parse(p);
+                net::EthHeader eh = net::EthHeader::decode(p.bytes());
+                uint16_t id = net::Ipv4Header::decode(p.bytes() +
+                                                      pp.l3_offset).id;
                 p = net::PacketBuilder()
-                        .eth(pp.eth->src, pp.eth->dst)
-                        .ipv4(pp.ipv4->src, pp.ipv4->dst,
-                              net::kIpProtoUdp, pp.ipv4->id)
-                        .udp(pp.udp->sport, 1111)
+                        .eth(eh.src, eh.dst)
+                        .ipv4(pp.src_ip, pp.dst_ip, net::kIpProtoUdp, id)
+                        .udp(pp.sport, 1111)
                         .payload(p.bytes() + pp.payload_offset,
                                  pp.payload_len)
                         .build();
@@ -338,14 +340,16 @@ TEST(PipelineGolden, NatRewriteRewritesHeadersAndChecksums)
     ASSERT_EQ(delivered.size(), originals.size());
     for (size_t i = 0; i < delivered.size(); ++i) {
         net::ParsedPacket op = net::parse(originals[i]);
+        net::EthHeader eh = net::EthHeader::decode(originals[i].bytes());
+        uint16_t id = net::Ipv4Header::decode(originals[i].bytes() +
+                                              op.l3_offset).id;
         // The NATed frame must equal a from-scratch build with the
         // rewritten tuple: same headers AND freshly valid checksums.
         net::Packet expect =
             net::PacketBuilder()
-                .eth(op.eth->src, op.eth->dst)
-                .ipv4(op.ipv4->src, new_dst, net::kIpProtoUdp,
-                      op.ipv4->id)
-                .udp(op.udp->sport, new_dport)
+                .eth(eh.src, eh.dst)
+                .ipv4(op.src_ip, new_dst, net::kIpProtoUdp, id)
+                .udp(op.sport, new_dport)
                 .payload(originals[i].bytes() + op.payload_offset,
                          op.payload_len)
                 .build();
@@ -370,7 +374,7 @@ TEST(PipelineGolden, VipSelectPicksToeplitzBackend)
     std::vector<uint32_t> got;
     rig.nic().set_rx_delivery_probe(
         [&](uint32_t, const net::Packet& pkt) {
-            got.push_back(net::parse(pkt).ipv4->dst);
+            got.push_back(net::parse(pkt).dst_ip);
         });
 
     fld::Rng rng(0x819);

@@ -433,9 +433,8 @@ TEST(PipelineExec, VipSelectIsToeplitzModuloPool)
     fld::Rng rng(0x71e);
     for (int i = 0; i < 100; ++i) {
         FlowFields f = random_fields(rng);
-        uint32_t hash = net::toeplitz_ipv4(net::default_rss_key(),
-                                           f.src_ip, f.dst_ip, f.sport,
-                                           f.dport);
+        uint32_t hash = net::default_rss_table().ipv4(f.src_ip, f.dst_ip,
+                                                      f.sport, f.dport);
         EXPECT_EQ(select_vip_backend(backends, f),
                   backends[hash % backends.size()]);
     }

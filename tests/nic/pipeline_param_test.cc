@@ -57,11 +57,11 @@ TEST(PipelineChain, VxlanEncapActionWrapsEgress)
 
     ASSERT_EQ(wire.size(), 1u);
     net::ParsedPacket pp = net::parse(wire[0]);
-    ASSERT_TRUE(pp.udp);
-    EXPECT_EQ(pp.udp->dport, net::kVxlanPort);
-    ASSERT_TRUE(pp.vxlan);
-    EXPECT_EQ(pp.vxlan->vni, 0x777u);
-    EXPECT_EQ(pp.ipv4->dst, ipv4_addr(192, 168, 5, 2));
+    ASSERT_TRUE(pp.has_udp);
+    EXPECT_EQ(pp.dport, net::kVxlanPort);
+    ASSERT_TRUE(pp.has_vxlan);
+    EXPECT_EQ(pp.vni, 0x777u);
+    EXPECT_EQ(pp.dst_ip, ipv4_addr(192, 168, 5, 2));
 
     auto decap = net::vxlan_decapsulate(wire[0]);
     ASSERT_TRUE(decap.has_value());
