@@ -47,8 +47,8 @@ nic_drops(const nic::NicStats& st)
  * last table jumps back to table 0, where the now-nonzero tag skips
  * the splice and the original rules deliver. ACL denies sit on a port
  * the workload never uses. Identical programs are installed for the
- * FLD and CPU runs, so the differential oracles judge the compiled
- * engine end to end.
+ * FLD and CPU runs, so the differential oracles judge the decorated
+ * program end to end.
  */
 void
 install_pipeline_decorations(nic::NicDevice& dev,
@@ -266,11 +266,8 @@ FuzzRunner::run_eth(const sim::FuzzScenario& s, bool fld_path)
     PktGenConfig g = gen_config(s);
     TestbedConfig tbc = tb_config(s);
     EchoOptions eopt = echo_options(s);
-    // Pipeline dimension: both NICs steer through the compiled
-    // program; the server additionally gets the random decoration
-    // chain spliced in front of its rules (below).
-    if (s.pipeline.enabled)
-        tbc.nic.use_compiled_pipeline = true;
+    // Pipeline dimension: the server NIC's steering program gets the
+    // random decoration chain spliced in front of its rules (below).
 
     auto drive = [&](Testbed& tb, PacketGen& gen,
                      driver::CpuDriver& gen_driver) {

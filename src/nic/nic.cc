@@ -184,13 +184,6 @@ NicDevice::set_vip_pool(uint32_t pool_id, std::vector<uint32_t> backends)
     vip_pools_[pool_id] = std::move(backends);
 }
 
-const Pipeline&
-NicDevice::pipeline()
-{
-    ensure_pipeline_compiled();
-    return pipeline_;
-}
-
 void
 NicDevice::ensure_pipeline_compiled()
 {
@@ -532,14 +525,9 @@ void
 NicDevice::run_pipeline(net::Packet&& pkt, net::ParsedPacket pp,
                         VportId in_vport, uint32_t start_table)
 {
-    // Both steering engines share this action walker; they differ
-    // only in how the matching action list is found. The fixed
-    // interpreter scans the installed rules; the compiled program
-    // (NicConfig::use_compiled_pipeline) runs a flat masked scan and
-    // adds per-table default actions on a miss.
-    const bool compiled = cfg_.use_compiled_pipeline;
-    if (compiled)
-        ensure_pipeline_compiled();
+    // A masked scan of the compiled program finds the action list: the
+    // highest-priority entry, else the table's default actions.
+    ensure_pipeline_compiled();
 
     uint32_t table = start_table;
     FlowFields fields = FlowFields::of(pp, pkt.meta, in_vport);
@@ -548,32 +536,16 @@ NicDevice::run_pipeline(net::Packet&& pkt, net::ParsedPacket pp,
         const Action* acts = nullptr;
         size_t count = 0;
         uint64_t rule_id = 0;
-        if (compiled) {
-            CompiledEntry* entry = pipeline_.lookup(table, fields);
-            if (entry) {
-                entry->hits++;
-                entry->hit_bytes += pkt.size();
-                acts = pipeline_.actions(*entry);
-                count = entry->action_count;
-                rule_id = entry->rule_id;
-            } else {
-                pipeline_.default_actions(table, acts, count);
-                if (count == 0) {
-                    stats_.drops_no_rule++;
-                    return;
-                }
-            }
+        if (const CompiledEntry* entry = pipeline_.lookup(table, fields)) {
+            acts = pipeline_.actions(*entry);
+            count = entry->action_count;
+            rule_id = entry->rule_id;
         } else {
-            FlowRule* rule = flows_.lookup(table, fields);
-            if (!rule) {
+            pipeline_.default_actions(table, acts, count);
+            if (count == 0) {
                 stats_.drops_no_rule++;
                 return;
             }
-            rule->hits++;
-            rule->hit_bytes += pkt.size();
-            acts = rule->actions.data();
-            count = rule->actions.size();
-            rule_id = rule->id;
         }
 
         for (size_t ai = 0; ai < count; ++ai) {
@@ -682,7 +654,9 @@ NicDevice::run_pipeline(net::Packet&& pkt, net::ParsedPacket pp,
             return;
         }
     }
-    panic("match-action pipeline loop exceeded depth limit");
+    // A goto cycle (or a chain deeper than kMaxDepth) is a bad ruleset,
+    // not a device fault: drop the frame and keep steering the rest.
+    stats_.drops_rule++;
 }
 
 void
@@ -712,8 +686,6 @@ NicDevice::nat_rewrite_packet(net::Packet& pkt, net::ParsedPacket& pp,
 bool
 NicDevice::rx_table_matches(uint32_t table, const FlowFields& fields)
 {
-    if (!cfg_.use_compiled_pipeline)
-        return flows_.lookup(table, fields) != nullptr;
     ensure_pipeline_compiled();
     if (pipeline_.lookup(table, fields))
         return true;

@@ -114,7 +114,7 @@ struct NicStats
     uint64_t rx_bytes = 0;
     uint64_t wire_rx_packets = 0;
     uint64_t drops_no_buffer = 0;
-    uint64_t drops_rule = 0;
+    uint64_t drops_rule = 0; ///< Drop action, bad decap/VIP, goto cycle
     uint64_t drops_meter = 0;
     uint64_t drops_no_rule = 0;
     uint64_t drops_acl = 0; ///< AclDeny action hits
@@ -160,22 +160,19 @@ class NicDevice : public pcie::PcieEndpoint
     void set_meter(uint32_t meter_id, double gbps, uint64_t burst_bytes);
 
     /**
-     * Programmable pipeline (NicConfig::use_compiled_pipeline).
-     * Without an explicit program the compiled program is derived from
-     * the installed rules (Pipeline::config_from) and lazily recompiled
-     * after add_rule/remove_rule, so both engines serve the same
-     * ruleset. set_pipeline_program installs an explicit program with
-     * masked/ternary keys the rule API cannot express; rule changes no
-     * longer affect steering until clear_pipeline_program. Pools
-     * referenced by VipSelect actions come from the program and/or
-     * set_vip_pool.
+     * Steering program (nic/pipeline.h). Without an explicit program
+     * the compiled program is derived from the installed rules
+     * (Pipeline::config_from) and lazily recompiled on the first
+     * steered frame after add_rule/remove_rule. set_pipeline_program
+     * installs an explicit program with masked/ternary keys the rule
+     * API cannot express; rule changes no longer affect steering until
+     * clear_pipeline_program. Pools referenced by VipSelect actions
+     * come from the program and/or set_vip_pool.
      */
     void set_pipeline_program(PipelineConfig cfg);
     void clear_pipeline_program();
-    /** Register a VIP pool for VipSelect actions (both engines). */
+    /** Register a VIP pool for VipSelect actions. */
     void set_vip_pool(uint32_t pool_id, std::vector<uint32_t> backends);
-    /** The compiled program currently steering (compiles if dirty). */
-    const Pipeline& pipeline();
 
     /** Change an SQ's max-rate shaping after creation. */
     void set_sq_rate(uint32_t sqn, double gbps);
@@ -344,8 +341,9 @@ class NicDevice : public pcie::PcieEndpoint
     void offload_rx_checks(net::Packet& pkt, const net::ParsedPacket& pp);
     /** Recompile the flows-derived program when rules changed. */
     void ensure_pipeline_compiled();
-    /** Would run_pipeline find work in @p table for @p fields? Used by
-     *  vport delivery to decide rule steering vs the default TIR. */
+    /** Would run_pipeline find work in @p table for @p fields (an
+     *  entry or default actions)? Used by vport delivery to decide rule
+     *  steering vs the default TIR. */
     bool rx_table_matches(uint32_t table, const FlowFields& fields);
     /** Rewrite IPv4 addrs/ports per a NatRewrite-shaped action, re-parse
      *  into @p pp and fix the IP header + L4 checksums; no-op on

@@ -1,6 +1,7 @@
 #include "nic/pipeline.h"
 
 #include <algorithm>
+#include <map>
 
 #include "net/toeplitz.h"
 
@@ -53,8 +54,6 @@ Pipeline::compile(const PipelineConfig& cfg)
     tables_.clear();
     entries_.clear();
     actions_.clear();
-    pools_.clear();
-    counters_.clear();
 
     // Group config blocks by table id, merging duplicate blocks in
     // config order so entry insertion order (the priority tie-break)
@@ -109,9 +108,6 @@ Pipeline::compile(const PipelineConfig& cfg)
         ct.entry_count = uint32_t(entries_.size()) - ct.entry_begin;
         tables_.push_back(ct);
     }
-
-    for (const VipPoolConfig& p : cfg.pools)
-        pools_[p.id] = p.backends;
 }
 
 PipelineConfig
@@ -208,13 +204,13 @@ Pipeline::find_table(uint32_t id) const
     return &*it;
 }
 
-CompiledEntry*
-Pipeline::lookup(uint32_t table, const FlowFields& f)
+const CompiledEntry*
+Pipeline::lookup(uint32_t table, const FlowFields& f) const
 {
     const CompiledTable* t = find_table(table);
     if (!t)
         return nullptr;
-    CompiledEntry* e = entries_.data() + t->entry_begin;
+    const CompiledEntry* e = entries_.data() + t->entry_begin;
     for (uint32_t i = 0; i < t->entry_count; ++i, ++e) {
         if (key_matches(e->key, f))
             return e;
@@ -235,30 +231,6 @@ Pipeline::default_actions(uint32_t table, const Action*& acts,
     count = t->default_count;
 }
 
-bool
-Pipeline::has_table(uint32_t table) const
-{
-    return find_table(table) != nullptr;
-}
-
-const std::vector<uint32_t>*
-Pipeline::vip_pool(uint32_t pool_id) const
-{
-    auto it = pools_.find(pool_id);
-    return it == pools_.end() ? nullptr : &it->second;
-}
-
-uint64_t
-Pipeline::counter(uint32_t counter_id) const
-{
-    auto it = counters_.find(counter_id);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-// ---------------------------------------------------------------------
-// Standalone reference executor
-// ---------------------------------------------------------------------
-
 uint32_t
 select_vip_backend(const std::vector<uint32_t>& backends,
                    const FlowFields& f)
@@ -266,122 +238,6 @@ select_vip_backend(const std::vector<uint32_t>& backends,
     uint32_t hash = net::default_rss_table().ipv4(f.src_ip, f.dst_ip,
                                                   f.sport, f.dport);
     return backends[hash % backends.size()];
-}
-
-void
-nat_apply_fields(FlowFields& f, const Action& act)
-{
-    if (act.arg0 & kNatDstIp)
-        f.dst_ip = act.arg1;
-    if (act.arg0 & kNatSrcIp)
-        f.src_ip = act.arg3;
-    if (f.has_l4) {
-        if (act.arg0 & kNatDstPort)
-            f.dport = uint16_t(act.arg2 & 0xffff);
-        if (act.arg0 & kNatSrcPort)
-            f.sport = uint16_t(act.arg2 >> 16);
-    }
-}
-
-PipelineExecResult
-Pipeline::execute(FlowFields f, uint32_t start_table, uint64_t bytes)
-{
-    PipelineExecResult r;
-    uint32_t table = start_table;
-
-    for (int depth = 0; depth < kMaxDepth; ++depth) {
-        r.tables_visited++;
-        const Action* acts = nullptr;
-        size_t count = 0;
-        CompiledEntry* e = lookup(table, f);
-        if (e) {
-            e->hits++;
-            e->hit_bytes += bytes;
-            acts = actions(*e);
-            count = e->action_count;
-        } else {
-            default_actions(table, acts, count);
-            if (count == 0) {
-                r.kind = PipelineExecResult::Kind::Miss;
-                r.final_tag = f.flow_tag;
-                return r;
-            }
-        }
-
-        bool had_goto = false;
-        for (size_t i = 0; i < count; ++i) {
-            const Action& act = acts[i];
-            switch (act.type) {
-              case ActionType::SetTag:
-                f.flow_tag = act.arg0;
-                break;
-              case ActionType::Count:
-                counters_[act.arg0] += bytes;
-                break;
-              case ActionType::VxlanDecap:
-              case ActionType::VxlanEncap:
-              case ActionType::Meter:
-                // Packet-body / device-state actions: field-level
-                // no-ops in the standalone executor.
-                break;
-              case ActionType::Goto:
-                table = act.arg0;
-                had_goto = true;
-                break;
-              case ActionType::ForwardVport:
-                r.kind = PipelineExecResult::Kind::Vport;
-                r.dest = act.arg0;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::ForwardTir:
-                r.kind = PipelineExecResult::Kind::Tir;
-                r.dest = act.arg0;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::ForwardQueue:
-                r.kind = PipelineExecResult::Kind::Queue;
-                r.dest = act.arg0;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::SendToAccel:
-                r.kind = PipelineExecResult::Kind::Accel;
-                r.dest = act.arg0;
-                r.next_table = act.arg1;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::Drop:
-                r.kind = PipelineExecResult::Kind::Drop;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::AclDeny:
-                r.kind = PipelineExecResult::Kind::AclDeny;
-                r.dest = act.arg0;
-                r.final_tag = f.flow_tag;
-                return r;
-              case ActionType::NatRewrite:
-                nat_apply_fields(f, act);
-                break;
-              case ActionType::VipSelect: {
-                const std::vector<uint32_t>* pool = vip_pool(act.arg0);
-                if (!pool || pool->empty()) {
-                    r.kind = PipelineExecResult::Kind::Drop;
-                    r.final_tag = f.flow_tag;
-                    return r;
-                }
-                f.dst_ip = select_vip_backend(*pool, f);
-                break;
-              }
-            }
-        }
-        if (!had_goto) {
-            r.kind = PipelineExecResult::Kind::NoTerminal;
-            r.final_tag = f.flow_tag;
-            return r;
-        }
-    }
-    r.kind = PipelineExecResult::Kind::DepthExceeded;
-    r.final_tag = f.flow_tag;
-    return r;
 }
 
 } // namespace fld::nic

@@ -1,36 +1,32 @@
 /**
  * @file
- * Programmable multi-table match-action pipeline (ROADMAP item 4).
+ * Programmable multi-table match-action pipeline: the NIC's one
+ * steering engine.
  *
- * The fixed eSwitch of flow_table.h models §2.3's steering engine with
- * optional-field exact matches interpreted straight out of a
- * map-of-vectors. This file adds the programmable generalization in
- * the spirit of hXDP's on-NIC packet programs and Stratum's pipeline
- * processor: a declarative `PipelineConfig` — numbered tables of
- * prioritized entries with masked/ternary keys over the parsed field
- * vector, per-table default action lists, and VIP pools — compiled
- * into a flat, allocation-free executable form (`Pipeline`).
+ * A declarative `PipelineConfig` — numbered tables of prioritized
+ * entries with masked/ternary keys over the parsed field vector,
+ * per-table default action lists, and VIP pools — is compiled into a
+ * flat, allocation-free executable form (`Pipeline`), in the spirit of
+ * hXDP's on-NIC packet programs and Stratum's pipeline processor.
+ * `NicDevice::run_pipeline` walks the compiled program for every
+ * steered frame.
  *
- * Contract with the fixed engine: `Pipeline::config_from(FlowTables)`
- * expresses the currently installed rules as the *default program*,
- * and a compiled lookup over that program returns exactly the rule the
- * fixed `FlowTables::lookup` would (same priority order, same
- * tie-break by installation order, same optional-field semantics —
- * a present-with-zero match only accepts zero, and port matches
- * require a parsed L4 header). `NicDevice` routes receive steering
- * through the compiled program when `NicConfig::use_compiled_pipeline`
- * is set; with the flag off the legacy interpreter runs unchanged and
- * golden traces stay bit-identical.
+ * Rules installed through the rte_flow-like API (flow_table.h) become
+ * the *default program* via `Pipeline::config_from(FlowTables)`: same
+ * priority order, same tie-break by installation order, and the
+ * optional-field semantics of `FlowMatch` — a present-with-zero match
+ * only accepts zero, and port matches require a parsed L4 header.
+ * The reference interpreter that states those semantics directly over
+ * `FlowTables`, and a standalone reference executor, live under
+ * tests/nic/reference_steering.h.
  *
- * The action set is shared with the fixed engine (`nic::Action`) and
- * grows three programmable-only kinds: ACL deny, NAT header rewrite,
- * and VIP load-balancer backend select.
+ * The action set is `nic::Action`, including three programmable kinds:
+ * ACL deny, NAT header rewrite, and VIP load-balancer backend select.
  */
 #ifndef FLD_NIC_PIPELINE_H
 #define FLD_NIC_PIPELINE_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "nic/flow_table.h"
@@ -83,8 +79,7 @@ struct PipelineEntryConfig
     PipelineKey key;
     std::vector<Action> actions;
     /** Source FlowRule id for config_from programs (0 otherwise);
-     *  kept so Drop events report the same rule id as the fixed
-     *  engine. */
+     *  Drop events report it. */
     uint64_t rule_id = 0;
 };
 
@@ -92,12 +87,13 @@ struct PipelineTableConfig
 {
     uint32_t id = 0;
     std::vector<PipelineEntryConfig> entries;
-    /** Executed on table miss. Empty = miss drops (fixed-engine
-     *  behaviour: drops_no_rule). */
+    /** Executed on table miss. Empty = miss drops (drops_no_rule),
+     *  which is all a config_from program ever does. */
     std::vector<Action> default_actions;
 };
 
-/** VIP load-balancer pool referenced by VipSelect actions. */
+/** VIP load-balancer pool referenced by VipSelect actions;
+ *  NicDevice::set_pipeline_program adds it to the NIC's pool table. */
 struct VipPoolConfig
 {
     uint32_t id = 0;
@@ -123,36 +119,6 @@ struct CompiledEntry
     uint32_t action_begin = 0;
     uint32_t action_count = 0;
     uint64_t rule_id = 0; ///< source FlowRule id (config_from programs)
-    uint64_t hits = 0;
-    uint64_t hit_bytes = 0;
-};
-
-/** Outcome of the standalone reference executor (tests/properties). */
-struct PipelineExecResult
-{
-    enum class Kind : uint8_t {
-        Miss,          ///< table miss with no default actions
-        NoTerminal,    ///< action list ended without terminal or goto
-        DepthExceeded, ///< goto chain ran past kMaxDepth tables
-        Drop,
-        AclDeny,
-        Queue,
-        Tir,
-        Vport,
-        Accel,
-    };
-    Kind kind = Kind::Miss;
-    uint32_t dest = 0;       ///< rqn / tir / vport / acl id
-    uint32_t next_table = 0; ///< Accel: resume table
-    uint32_t final_tag = 0;  ///< flow tag after execution
-    uint32_t tables_visited = 0;
-
-    /** True when the packet reached a delivery destination. */
-    bool delivered() const
-    {
-        return kind == Kind::Queue || kind == Kind::Tir ||
-               kind == Kind::Vport || kind == Kind::Accel;
-    }
 };
 
 /**
@@ -164,7 +130,8 @@ struct PipelineExecResult
 class Pipeline
 {
   public:
-    /** Matches the fixed interpreter's goto-depth limit. */
+    /** Goto-chain depth limit; a frame still steering after this many
+     *  tables is dropped (drops_rule). */
     static constexpr int kMaxDepth = 16;
 
     Pipeline() = default;
@@ -176,14 +143,12 @@ class Pipeline
      *  config order — exactly FlowTables' dispatch order. */
     void compile(const PipelineConfig& cfg);
 
-    /** Express the fixed engine's installed rules as a declarative
-     *  program (the default program). */
+    /** Express the installed rules as a declarative program (the
+     *  default program). */
     static PipelineConfig config_from(const FlowTables& flows);
 
-    /** Highest-priority matching entry of @p table, or null. Does not
-     *  bump hit counters — callers account hits explicitly, so control
-     *  plane peeks stay invisible. */
-    CompiledEntry* lookup(uint32_t table, const FlowFields& f);
+    /** Highest-priority matching entry of @p table, or null. */
+    const CompiledEntry* lookup(uint32_t table, const FlowFields& f) const;
 
     /** Action span of a matched entry. */
     const Action* actions(const CompiledEntry& e) const
@@ -194,30 +159,6 @@ class Pipeline
     /** Default-action span of @p table (count 0 when absent). */
     void default_actions(uint32_t table, const Action*& acts,
                          size_t& count) const;
-
-    bool has_table(uint32_t table) const;
-    size_t table_count() const { return tables_.size(); }
-    size_t entry_count() const { return entries_.size(); }
-
-    /** Backends of a VIP pool (null when the pool is unknown). */
-    const std::vector<uint32_t>* vip_pool(uint32_t pool_id) const;
-
-    /**
-     * Standalone reference executor over extracted fields: walks the
-     * program exactly like NicDevice::run_pipeline walks actions
-     * (goto continues the entry's remaining actions, missing terminal
-     * drops) but mutates only the field vector — packet-body actions
-     * (decap/encap/meter) are field-level no-ops here. Used by the
-     * property battery and the shadow-matcher tests; the NIC datapath
-     * does not call this.
-     *
-     * @p bytes feeds Count actions and hit accounting.
-     */
-    PipelineExecResult execute(FlowFields f, uint32_t start_table = 0,
-                               uint64_t bytes = 1);
-
-    /** Count-action accumulator of the standalone executor. */
-    uint64_t counter(uint32_t counter_id) const;
 
     /** True when @p key accepts @p f (parser-aware ternary match). */
     static bool key_matches(const PipelineKey& key, const FlowFields& f);
@@ -237,18 +178,12 @@ class Pipeline
     std::vector<CompiledTable> tables_; ///< sorted by id
     std::vector<CompiledEntry> entries_;
     std::vector<Action> actions_;
-    std::map<uint32_t, std::vector<uint32_t>> pools_;
-    std::map<uint32_t, uint64_t> counters_;
 };
 
-/** Deterministic VIP backend choice shared by the NIC datapath and the
- *  standalone executor: Toeplitz flow hash over the 4-tuple, modulo
- *  the pool size. Precondition: backends non-empty. */
+/** Deterministic VIP backend choice: Toeplitz flow hash over the
+ *  4-tuple, modulo the pool size. Precondition: backends non-empty. */
 uint32_t select_vip_backend(const std::vector<uint32_t>& backends,
                             const FlowFields& f);
-
-/** Apply a NatRewrite action to extracted fields (no packet body). */
-void nat_apply_fields(FlowFields& f, const Action& act);
 
 /** NAT flag bits carried in Action::arg0 (see nat_dst/nat_src). */
 constexpr uint32_t kNatDstIp = 1u << 0;   ///< arg1 = new dst ip

@@ -115,7 +115,7 @@ struct RpcWorkload
  * (extra tables with masked/ternary entries, counters, tags, identity
  * NAT, single-backend VIP select, never-matching ACL denies, miss →
  * default goto) seeded from program_seed, and serves both the FLD and
- * the CPU run through the compiled engine — so the four differential
+ * the CPU run through the decorated program — so the four differential
  * oracles judge random programs end to end. Like conn/rpc, every
  * generated scenario carries valid pipeline fields so `fld_fuzz
  * --pipeline` can force the dimension onto any seed.

@@ -1,8 +1,9 @@
 /**
  * @file
- * Match-action table tests (wildcards, priorities, counters) plus
- * property tests for the VXLAN tunnel actions and eSwitch RSS
- * steering over decapsulated inner headers.
+ * Match-action rule tests (wildcards, priorities, counters), resolved
+ * by the compiled default program the NIC steers with, plus property
+ * tests for the VXLAN tunnel actions and eSwitch RSS steering over
+ * decapsulated inner headers.
  */
 #include "nic/flow_table.h"
 
@@ -10,6 +11,7 @@
 
 #include "net/headers.h"
 #include "net/toeplitz.h"
+#include "nic/pipeline.h"
 #include "tests/nic/nic_test_fixture.h"
 #include "util/rng.h"
 
@@ -27,6 +29,16 @@ net::Packet udp_packet(uint32_t src, uint32_t dst, uint16_t sport,
         .udp(sport, dport)
         .payload(std::vector<uint8_t>{1, 2, 3})
         .build();
+}
+
+/** Id of the rule the compiled default program of @p t resolves @p pkt
+ *  to in @p table, or 0 on a miss (rule ids start at 1). */
+uint64_t
+steer(const FlowTables& t, uint32_t table, const net::Packet& pkt)
+{
+    Pipeline p(Pipeline::config_from(t));
+    const CompiledEntry* e = p.lookup(table, FlowFields::of(pkt, 0));
+    return e ? e->rule_id : 0;
 }
 
 TEST(FlowFields, ExtractsUdpTuple)
@@ -50,7 +62,7 @@ TEST(FlowTables, WildcardMatchesEverything)
     FlowTables t;
     t.add_rule(0, 0, {}, {drop_action()});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_NE(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_NE(steer(t, 0, pkt), 0u);
 }
 
 TEST(FlowTables, FieldMatching)
@@ -63,8 +75,8 @@ TEST(FlowTables, FieldMatching)
 
     net::Packet hit = udp_packet(1, 2, 999, 4789);
     net::Packet miss = udp_packet(1, 2, 999, 80);
-    EXPECT_NE(t.lookup(0, FlowFields::of(hit, 0)), nullptr);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(miss, 0)), nullptr);
+    EXPECT_NE(steer(t, 0, hit), 0u);
+    EXPECT_EQ(steer(t, 0, miss), 0u);
 }
 
 TEST(FlowTables, PriorityOrdering)
@@ -76,14 +88,10 @@ TEST(FlowTables, PriorityOrdering)
     uint64_t high = t.add_rule(0, 10, specific, {fwd_vport(2)});
 
     net::Packet pkt = udp_packet(1, 2, 3, 80);
-    FlowRule* r = t.lookup(0, FlowFields::of(pkt, 0));
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->id, high);
+    EXPECT_EQ(steer(t, 0, pkt), high);
 
     net::Packet other = udp_packet(1, 2, 3, 81);
-    r = t.lookup(0, FlowFields::of(other, 0));
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->id, low);
+    EXPECT_EQ(steer(t, 0, other), low);
 }
 
 TEST(FlowTables, EqualPriorityIsInsertionOrder)
@@ -92,7 +100,7 @@ TEST(FlowTables, EqualPriorityIsInsertionOrder)
     uint64_t first = t.add_rule(0, 5, {}, {drop_action()});
     t.add_rule(0, 5, {}, {fwd_vport(1)});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0))->id, first);
+    EXPECT_EQ(steer(t, 0, pkt), first);
 }
 
 TEST(FlowTables, RemoveRule)
@@ -104,7 +112,7 @@ TEST(FlowTables, RemoveRule)
     EXPECT_FALSE(t.remove_rule(id));
     EXPECT_EQ(t.rule_count(), 0u);
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(steer(t, 0, pkt), 0u);
 }
 
 TEST(FlowTables, TablesAreIndependent)
@@ -112,8 +120,8 @@ TEST(FlowTables, TablesAreIndependent)
     FlowTables t;
     t.add_rule(1, 0, {}, {drop_action()});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
-    EXPECT_NE(t.lookup(1, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(steer(t, 0, pkt), 0u);
+    EXPECT_NE(steer(t, 1, pkt), 0u);
 }
 
 TEST(FlowTables, FragmentMatching)
@@ -124,14 +132,14 @@ TEST(FlowTables, FragmentMatching)
     t.add_rule(0, 0, frag_match, {fwd_queue(9)});
 
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(steer(t, 0, pkt), 0u);
 
     // Forge fragment bits.
     net::Ipv4Header ih =
         net::Ipv4Header::decode(pkt.bytes() + net::kEthHeaderLen);
     ih.more_fragments = true;
     ih.encode(pkt.bytes() + net::kEthHeaderLen, true);
-    EXPECT_NE(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_NE(steer(t, 0, pkt), 0u);
 }
 
 TEST(FlowTables, TagMatchingAfterSetTag)
@@ -143,9 +151,9 @@ TEST(FlowTables, TagMatchingAfterSetTag)
 
     net::Packet pkt = udp_packet(1, 2, 3, 4);
     pkt.meta.flow_tag = 0x42;
-    EXPECT_NE(t.lookup(2, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_NE(steer(t, 2, pkt), 0u);
     pkt.meta.flow_tag = 0x43;
-    EXPECT_EQ(t.lookup(2, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(steer(t, 2, pkt), 0u);
 }
 
 TEST(FlowTables, Counters)

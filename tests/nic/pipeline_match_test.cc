@@ -1,8 +1,9 @@
 /**
  * @file
  * Property battery for the compiled pipeline matcher and the
- * standalone executor: randomized programs are checked entry-by-entry
- * against a naive shadow matcher (priority beats insertion order, ties
+ * test-side reference executor (tests/nic/reference_steering.h):
+ * randomized programs are checked entry-by-entry against a naive
+ * shadow matcher (priority beats insertion order, ties
  * break by config order, masked keys follow (field & mask) == value,
  * ported keys demand a parsed L4 header), misses run the table's
  * default actions, goto chains always terminate inside kMaxDepth, and
@@ -17,10 +18,13 @@
 #include "net/headers.h"
 #include "net/toeplitz.h"
 #include "sim/stats.h"
+#include "tests/nic/reference_steering.h"
 #include "util/rng.h"
 
 namespace fld::nic {
 namespace {
+
+using reference::PipelineExecResult;
 
 // ---------------------------------------------------------------------
 // Naive shadow matcher: an independent re-statement of the matching
@@ -175,7 +179,7 @@ TEST(PipelineMatch, RandomProgramsAgreeWithShadowMatcher)
         for (int q = 0; q < 40; ++q) {
             FlowFields f = random_fields(rng);
             uint32_t t = rng.uniform(tables);
-            CompiledEntry* got = p.lookup(t, f);
+            const CompiledEntry* got = p.lookup(t, f);
             int want = shadow_lookup(cfg.tables[t], f);
             if (want < 0) {
                 EXPECT_EQ(got, nullptr)
@@ -214,7 +218,7 @@ TEST(PipelineMatch, PriorityBeatsInsertionOrderAndTiesDont)
 
     Pipeline p(cfg);
     FlowFields f;
-    CompiledEntry* e = p.lookup(0, f);
+    const CompiledEntry* e = p.lookup(0, f);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->cfg_index, 1u);
     EXPECT_EQ(e->priority, 9);
@@ -282,7 +286,7 @@ TEST(PipelineExec, MissRunsDefaultActionsAndChains)
     t1.id = 1;
     t1.default_actions = {fwd_queue(5)};
     cfg.tables = {t0, t1};
-    Pipeline p(cfg);
+    reference::Executor p(cfg);
 
     FlowFields f;
     auto r = p.execute(f, 0, 64);
@@ -296,7 +300,7 @@ TEST(PipelineExec, MissWithoutDefaultIsMiss)
 {
     PipelineConfig cfg;
     cfg.tables.push_back({0, {}, {}});
-    Pipeline p(cfg);
+    reference::Executor p(cfg);
     auto r = p.execute(FlowFields{});
     EXPECT_EQ(r.kind, PipelineExecResult::Kind::Miss);
     EXPECT_FALSE(r.delivered());
@@ -306,7 +310,7 @@ TEST(PipelineExec, SelfLoopHitsDepthLimitNotForever)
 {
     PipelineConfig cfg;
     cfg.tables.push_back({0, {}, {goto_table(0)}});
-    Pipeline p(cfg);
+    reference::Executor p(cfg);
     auto r = p.execute(FlowFields{});
     EXPECT_EQ(r.kind, PipelineExecResult::Kind::DepthExceeded);
     EXPECT_EQ(r.tables_visited, uint32_t(Pipeline::kMaxDepth));
@@ -330,7 +334,7 @@ TEST(PipelineExec, RandomGotoChainsAlwaysTerminate)
             if (rng.chance(0.7))
                 tab.default_actions = {goto_table(rng.uniform(6))};
         }
-        Pipeline p(cfg);
+        reference::Executor p(cfg);
         for (int q = 0; q < 20; ++q) {
             auto r = p.execute(random_fields(rng),
                                rng.uniform(tables));
@@ -382,7 +386,7 @@ TEST(PipelineExec, CountActionsConserveAgainstLedger)
         front.entries.push_back(meter_all);
         cfg.tables.push_back(front);
 
-        Pipeline p(cfg);
+        reference::Executor p(cfg);
         sim::ConservationLedger ledger;
         const uint32_t n = 200;
         for (uint32_t i = 0; i < n; ++i) {
@@ -413,15 +417,15 @@ TEST(PipelineExec, NatApplyFieldsHonorsFlagBits)
     f.dport = 4;
 
     f.has_l4 = true; // port rewrites are gated on a parsed L4 header
-    nat_apply_fields(f, nat_dst(77));
+    reference::nat_apply_fields(f, nat_dst(77));
     EXPECT_EQ(f.dst_ip, 77u);
     EXPECT_EQ(f.dport, 4u) << "ip-only NAT must not touch the port";
 
-    nat_apply_fields(f, nat_dst(88, 99));
+    reference::nat_apply_fields(f, nat_dst(88, 99));
     EXPECT_EQ(f.dst_ip, 88u);
     EXPECT_EQ(f.dport, 99u);
 
-    nat_apply_fields(f, nat_src(55, 66));
+    reference::nat_apply_fields(f, nat_src(55, 66));
     EXPECT_EQ(f.src_ip, 55u);
     EXPECT_EQ(f.sport, 66u);
     EXPECT_EQ(f.dst_ip, 88u) << "src NAT must not touch dst";
@@ -451,7 +455,7 @@ TEST(PipelineExec, VipSelectExecuteRewritesDstAndMissingPoolDrops)
     t.entries.push_back(e);
     cfg.tables.push_back(t);
     cfg.pools.push_back({7, {111, 222}});
-    Pipeline p(cfg);
+    reference::Executor p(cfg);
 
     FlowFields f;
     f.src_ip = 9;
@@ -462,7 +466,7 @@ TEST(PipelineExec, VipSelectExecuteRewritesDstAndMissingPoolDrops)
     // Same program minus the pool definition: the select must drop,
     // not deliver to a stale destination.
     cfg.pools.clear();
-    Pipeline q(cfg);
+    reference::Executor q(cfg);
     auto r2 = q.execute(f);
     EXPECT_EQ(r2.kind, PipelineExecResult::Kind::Drop);
 }
@@ -476,7 +480,7 @@ TEST(PipelineExec, AclDenyReportsAclId)
     e.actions = {acl_deny(42)};
     t.entries.push_back(e);
     cfg.tables.push_back(t);
-    Pipeline p(cfg);
+    reference::Executor p(cfg);
     auto r = p.execute(FlowFields{});
     EXPECT_EQ(r.kind, PipelineExecResult::Kind::AclDeny);
     EXPECT_EQ(r.dest, 42u);

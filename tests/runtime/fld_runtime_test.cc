@@ -9,6 +9,7 @@
 
 #include "apps/testbed.h"
 #include "nic/nic.h"
+#include "tests/nic/reference_steering.h"
 
 namespace fld::runtime {
 namespace {
@@ -116,8 +117,8 @@ TEST(FldRuntime, AccelActionInstallsTagAndResume)
                           .udp(1000, 5683)
                           .payload(std::vector<uint8_t>{1})
                           .build();
-    nic::FlowRule* rule = rig.nic->flows().lookup(
-        0, nic::FlowFields::of(pkt, nic::kUplinkVport));
+    const nic::FlowRule* rule = nic::reference::lookup(
+        rig.nic->flows(), 0, nic::FlowFields::of(pkt, nic::kUplinkVport));
     ASSERT_NE(rule, nullptr);
     ASSERT_EQ(rule->actions.size(), 2u);
     EXPECT_EQ(rule->actions[0].type, nic::ActionType::SetTag);
@@ -139,8 +140,8 @@ TEST(FldRuntime, AccelActionWithoutTag)
                           .udp(1, 2)
                           .payload(std::vector<uint8_t>{1})
                           .build();
-    nic::FlowRule* rule = rig.nic->flows().lookup(
-        0, nic::FlowFields::of(pkt, nic::kUplinkVport));
+    const nic::FlowRule* rule = nic::reference::lookup(
+        rig.nic->flows(), 0, nic::FlowFields::of(pkt, nic::kUplinkVport));
     ASSERT_NE(rule, nullptr);
     ASSERT_EQ(rule->actions.size(), 1u);
     EXPECT_EQ(rule->actions[0].type, nic::ActionType::SendToAccel);
