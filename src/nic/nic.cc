@@ -1253,12 +1253,9 @@ NicDevice::rdma_rx(VportId vport, net::Packet&& pkt)
         info.flags |= kCqeRdmaLast;
 
     // Receiver-not-ready: leave PSN state untouched and do not ACK,
-    // so the sender's go-back-N timer retries the whole message. The
-    // CQE's IpFrag flag comes from a parse of the delivered bytes, as
-    // for Ethernet completions, even though an RDMA payload is not a
-    // frame.
-    net::ParsedPacket pp = net::parse(payload);
-    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), pp, info))
+    // so the sender's go-back-N timer retries the whole message.
+    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), net::ParsedPacket{},
+                       info))
         return;
 
     qp.expected_psn++;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/bitops.h"
-
 namespace fld {
 
 namespace {
@@ -25,20 +23,6 @@ Rng::reseed(uint64_t seed)
     uint64_t x = seed;
     for (auto& s : s_)
         s = splitmix64(x);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl64(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl64(s_[3], 45);
-    return result;
 }
 
 uint64_t

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "util/bitops.h"
+
 namespace fld {
 
 /** xoshiro256** 1.0 by Blackman & Vigna (public domain algorithm). */
@@ -23,7 +25,18 @@ class Rng
     void reseed(uint64_t seed);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl64(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl64(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0). */
     uint64_t uniform(uint64_t bound);

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <numeric>
 
+#include "tests/crypto/reference_zuc.h"
+
 namespace fld::crypto {
 namespace {
 
@@ -113,6 +115,54 @@ TEST(Eea3, PartialBitLengthMasksTail)
     EXPECT_EQ(data[5], 0xff);
     EXPECT_EQ(data[6], 0xff);
     EXPECT_EQ(data[7], 0xff);
+}
+
+TEST(Eea3, ZeroLengthLeavesBufferUntouched)
+{
+    Zuc::Key key = key_of({0x5a});
+    std::vector<uint8_t> data(9, 0xa5);
+    eea3_crypt(key, 3, 4, 1, data.data() + 1, 0);
+    EXPECT_EQ(data, std::vector<uint8_t>(9, 0xa5))
+        << "no byte before, at or after an empty message may change";
+    eea3_crypt(key, 3, 4, 1, nullptr, 0);
+}
+
+/** Encrypt @p length_bits of a 0xff-filled 16-byte buffer with both
+ *  the kernel and the reference; return whether they agree. */
+::testing::AssertionResult masks_like_reference(size_t length_bits)
+{
+    Zuc::Key key = key_of({0x11, 0x22, 0x33});
+    std::vector<uint8_t> fast(16, 0xff), ref(16, 0xff);
+    eea3_crypt(key, 0xabcdef01, 0x1f, 1, fast.data(), length_bits);
+    reference::eea3_crypt(key, 0xabcdef01, 0x1f, 1, ref.data(),
+                          length_bits);
+    if (fast == ref)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "length_bits=" << length_bits << " differs from reference";
+}
+
+TEST(Eea3, SubByteLengthsMaskLikeReference)
+{
+    for (size_t bits = 1; bits <= 7; ++bits) {
+        EXPECT_TRUE(masks_like_reference(bits));
+        std::vector<uint8_t> data(2, 0xff);
+        eea3_crypt(key_of({0x11}), 0, 0, 0, data.data(), bits);
+        EXPECT_EQ(data[0] & (0xff >> bits), 0) << "bits=" << bits;
+        EXPECT_EQ(data[1], 0xff) << "bits=" << bits;
+    }
+}
+
+TEST(Eea3, WordTailLengthsMaskLikeReference)
+{
+    // 4n+1 .. 4n+3 whole bytes leave a one- to three-byte word tail;
+    // add every partial-bit count on top of each.
+    for (size_t n = 0; n < 3; ++n) {
+        for (size_t tail = 1; tail <= 3; ++tail) {
+            for (size_t extra = 0; extra < 8; ++extra)
+                EXPECT_TRUE(masks_like_reference((4 * n + tail) * 8 + extra));
+        }
+    }
 }
 
 // 128-EEA3 spec test set 1.

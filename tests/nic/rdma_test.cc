@@ -74,9 +74,17 @@ struct RdmaFixture
     /** Post an RDMA SEND of @p len bytes on the client QP. */
     std::vector<uint8_t> post_send(uint32_t len, uint32_t msg_id)
     {
-        auto& a = *tb.a;
         std::vector<uint8_t> payload(len);
         std::iota(payload.begin(), payload.end(), uint8_t(msg_id));
+        return post_send(std::move(payload), msg_id);
+    }
+
+    /** Post an RDMA SEND carrying exactly @p payload. */
+    std::vector<uint8_t> post_send(std::vector<uint8_t> payload,
+                                   uint32_t msg_id)
+    {
+        auto& a = *tb.a;
+        uint32_t len = uint32_t(payload.size());
         uint64_t buf = a.alloc(len ? len : 1);
         if (len)
             std::memcpy(tb.hostmem.raw(buf, len), payload.data(), len);
@@ -123,6 +131,31 @@ TEST(Rdma, SingleMtuMessage)
     ASSERT_EQ(f.a_cqes.size(), 1u);
     EXPECT_EQ(f.a_cqes[0].opcode, CqeOpcode::TxOk);
     EXPECT_EQ(f.a_cqes[0].msg_id, 1u);
+}
+
+// IpFrag describes an Ethernet frame's IPv4 header. An RDMA completion
+// delivers a stripped payload, so no payload bytes may set it.
+TEST(Rdma, PayloadShapedLikeIpv4FragmentIsNotFlagged)
+{
+    RdmaFixture f;
+    std::vector<uint8_t> payload(64, 0);
+    payload[12] = 0x08; // "ethertype" IPv4
+    payload[13] = 0x00;
+    payload[14] = 0x45;   // version 4, IHL 5
+    payload[17] = 50;     // total length
+    payload[20] = 0x20;   // MF set
+    payload[23] = 17;     // UDP
+    auto sent = f.post_send(payload, 3);
+    f.tb.eq.run();
+
+    ASSERT_EQ(f.b_cqes.size(), 1u);
+    EXPECT_EQ(f.b_cqes[0].opcode, CqeOpcode::Rx);
+    EXPECT_EQ(f.b_cqes[0].byte_count, 64u);
+    EXPECT_TRUE(f.b_cqes[0].flags & kCqeRdmaLast);
+    EXPECT_FALSE(f.b_cqes[0].flags & kCqeIpFrag);
+    std::vector<uint8_t> got(64);
+    f.tb.hostmem.bar_read(f.b_rq.buffers[0], got.data(), got.size());
+    EXPECT_EQ(got, sent);
 }
 
 TEST(Rdma, MultiPacketMessageSegmentsAtMtu)
