@@ -408,7 +408,6 @@ FlexDriver::bar_write(uint64_t addr, const uint8_t* data, size_t len)
             report(FldError::Type::NicError, cqe.qpn);
             return;
         }
-        rx_burst_.clear();
         if (is_rx_cq)
             handle_rx_cqe(cqe);
         else
@@ -436,13 +435,6 @@ FlexDriver::bar_write(uint64_t addr, const uint8_t* data, size_t len)
                 handle_rx_cqe(expanded);
             else
                 handle_tx_cqe(expanded);
-        }
-        // The whole train leaves the FLD together: one wheel touch
-        // schedules every delivery this block produced.
-        if (!rx_burst_.empty()) {
-            eq_.schedule_batch(eq_.now() + read_processing_ps(),
-                               rx_burst_.data(), rx_burst_.size());
-            rx_burst_.clear();
         }
         return;
     }
@@ -606,11 +598,12 @@ FlexDriver::handle_rx_cqe(const nic::Cqe& cqe)
               cqe.flow_tag, uint32_t(pkt.size()));
 
     if (rx_handler_) {
-        // Collected by bar_write into one schedule_batch: every
-        // delivery of this CQE block fires at the same tick.
-        rx_burst_.emplace_back([this, pkt = std::move(pkt)]() mutable {
-            rx_handler_(std::move(pkt));
-        });
+        // Every delivery of one CQE block (a mini-CQE train) fires at
+        // the same tick, in CQE order.
+        eq_.schedule_in(read_processing_ps(),
+                        [this, pkt = std::move(pkt)]() mutable {
+                            rx_handler_(std::move(pkt));
+                        });
     }
 }
 

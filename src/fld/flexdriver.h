@@ -149,6 +149,9 @@ class FlexDriver : public pcie::PcieEndpoint
 
     // -- accelerator-facing AXI-stream interface (§5.5) --
 
+    /** Each received packet reaches @p fn read_processing_ps() after
+     *  its CQE lands; a compressed block's mini-CQE train is delivered
+     *  at one tick, in CQE order. */
     void set_rx_handler(StreamRxHandler fn) { rx_handler_ = std::move(fn); }
     void set_credit_handler(CreditHandler fn)
     {
@@ -251,11 +254,6 @@ class FlexDriver : public pcie::PcieEndpoint
     void note_flow(uint64_t key, uint32_t tenant_hint, uint32_t bytes);
 
     StreamRxHandler rx_handler_;
-    /** Deliveries of the CQE block currently being expanded: a
-     *  compressed block's mini-CQE train all leaves the FLD at the
-     *  same tick, so bar_write collects the callbacks here and issues
-     *  them as one schedule_batch (one wheel touch per train). */
-    std::vector<sim::EventQueue::Callback> rx_burst_;
     CreditHandler credit_handler_;
     ErrorHandler errors_;
     FldStats stats_;

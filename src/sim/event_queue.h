@@ -21,11 +21,12 @@
  * sifts — and steady-state operation performs zero heap allocations
  * once the pool has warmed up.
  *
- * The old binary-heap engine is retained behind Engine::Heap for
- * differential testing: both engines execute the identical total
- * order {when, seq}, so golden traces, same-seed rerun hashes and
- * fuzz oracle verdicts are bit-identical across engines (enforced by
- * tests/integration/wheel_heap_diff_test.cc).
+ * The wheel is the simulator's only event-ordering engine. Its
+ * contract is the total order {when, seq}: a minimal reference queue
+ * (tests/sim/reference_event_queue.h) checks it on randomized
+ * re-entrant workloads, and a pinned 50-seed fuzz sweep
+ * (tests/integration/event_order_golden_test.cc) holds whole-system
+ * transcripts to the values the retired binary-heap engine produced.
  */
 #ifndef FLD_SIM_EVENT_QUEUE_H
 #define FLD_SIM_EVENT_QUEUE_H
@@ -46,33 +47,11 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /** Ordering engine. Wheel is the production engine; Heap is the
-     *  legacy binary heap, kept for differential testing (identical
-     *  execution order, only the data structure differs). */
-    enum class Engine
-    {
-        Wheel,
-        Heap,
-    };
-
-    /**
-     * Engine used by default-constructed queues. Starts as Wheel, or
-     * whatever the FLD_SIM_ENGINE environment variable names ("heap"
-     * or "wheel") — handy for A/B runs of any bench or test binary
-     * without a rebuild.
-     */
-    static Engine default_engine();
-    /** Override the process-wide default (tests; returns previous). */
-    static Engine set_default_engine(Engine e);
-
-    EventQueue() : EventQueue(default_engine()) {}
-    explicit EventQueue(Engine engine);
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
-
-    Engine engine() const { return engine_; }
 
     /** Current simulated time. */
     TimePs now() const { return now_; }
@@ -84,20 +63,12 @@ class EventQueue
      * offending component) and the event runs this tick, after all
      * previously scheduled same-tick events — including when the
      * clamp lands inside the bucket currently being drained.
+     *
+     * The callable is constructed directly in its pool node (a
+     * prebuilt Callback is moved in), so captures are never relocated
+     * again before the event runs.
      */
-    void schedule_at(TimePs when, Callback cb)
-    {
-        place_node(when, make_node(std::move(cb)));
-    }
-
-    /**
-     * Same, constructing the callable directly in its pool node —
-     * saves one relocation of the captures per scheduled event. This
-     * is the overload lambda call sites resolve to.
-     */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Callback>>>
+    template <typename F>
     void schedule_at(TimePs when, F&& fn)
     {
         uint32_t idx = alloc_node();
@@ -111,30 +82,6 @@ class EventQueue
     void schedule_in(TimePs delay, F&& fn)
     {
         schedule_at(now_ + delay, std::forward<F>(fn));
-    }
-
-    /**
-     * Burst batching: append a run of callbacks for the same @p when
-     * with a single wheel lookup. Equivalent to calling schedule_at
-     * once per element in order (same seq assignment, same execution
-     * order); hot producers that emit trains of same-timestamp events
-     * (mini-CQE trains, DMA chunk fans, doorbell coalescing) pay one
-     * bucket resolution for the whole run.
-     */
-    void schedule_batch(TimePs when, Callback* cbs, size_t n);
-
-    /** Variadic burst: schedule_burst(when, f1, f2, ...). */
-    template <typename F0, typename... Fs>
-    void schedule_burst(TimePs when, F0&& f0, Fs&&... fns)
-    {
-        if constexpr (sizeof...(Fs) == 0) {
-            schedule_at(when, std::forward<F0>(f0));
-        } else {
-            Callback cbs[1 + sizeof...(Fs)] = {
-                Callback(std::forward<F0>(f0)),
-                Callback(std::forward<Fs>(fns))...};
-            schedule_batch(when, cbs, 1 + sizeof...(Fs));
-        }
     }
 
     /** Run events until the queue drains. Returns events executed. */
@@ -163,7 +110,7 @@ class EventQueue
     uint64_t executed_total() const { return executed_total_; }
     uint64_t scheduled_total() const { return next_seq_; }
 
-    /** Wheel-engine telemetry (all zero under Engine::Heap). */
+    /** Wheel telemetry: bucket batching, cascades and overflow. */
     struct WheelStats
     {
         uint64_t bucket_drains = 0;   ///< buckets pulled into the drain list
@@ -215,14 +162,6 @@ class EventQueue
         uint32_t next = kNil; ///< intrusive bucket-chain link
     };
 
-    /** Heap entry (Engine::Heap): ordering fields only. */
-    struct HeapEntry
-    {
-        TimePs when;
-        uint64_t seq;
-        uint32_t node;
-    };
-
     /** Drain-list entry: one event of the bucket being executed. */
     struct Ready
     {
@@ -240,26 +179,18 @@ class EventQueue
         uint64_t summary = 0;
     };
 
-    static bool fires_before(const HeapEntry& a, const HeapEntry& b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
-
     Node& node(uint32_t idx)
     {
         return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
     }
     uint32_t alloc_node();
-    uint32_t make_node(Callback cb);
     void release_node(uint32_t idx)
     {
         node(idx).cb.reset();
         free_nodes_.push_back(idx);
     }
 
-    /** Assign seq, clamp past times, route to heap/drain/wheel. */
+    /** Assign seq, clamp past times, route to the drain list or wheel. */
     void place_node(TimePs when, uint32_t idx);
     void file_node(TimePs when, uint32_t idx);
     void drain_insert(TimePs when, uint64_t seq, uint32_t idx);
@@ -281,13 +212,8 @@ class EventQueue
             (kSlots - 1));
     }
 
-    void heap_push(HeapEntry e);
-    HeapEntry heap_pop();
-
     uint64_t run_wheel(bool bounded, TimePs deadline);
-    uint64_t run_heap(bool bounded, TimePs deadline);
 
-    Engine engine_;
     TimePs now_ = 0;
     uint64_t next_seq_ = 0;
     uint64_t executed_total_ = 0;
@@ -298,7 +224,7 @@ class EventQueue
     uint32_t node_count_ = 0;
     std::vector<uint32_t> free_nodes_;
 
-    // Wheel engine.
+    // Wheel.
     std::array<Level, kLevels> levels_;
     /** Wheel cursor: start of the region the wheel's slot indexing is
      *  relative to. Monotonic; may run ahead of now() when run_until
@@ -317,9 +243,6 @@ class EventQueue
     unsigned memo_level_ = 0;
     uint32_t memo_slot_ = 0;
     TimePs memo_key_ = 0;
-
-    // Heap engine.
-    std::vector<HeapEntry> heap_;
 };
 
 } // namespace fld::sim

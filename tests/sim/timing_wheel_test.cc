@@ -3,9 +3,10 @@
  * Timing-wheel engine edge cases: overflow cascading, bounded runs
  * landing in empty buckets, same-tick FIFO across bucket boundaries,
  * exact O(1) counters (including clear() mid-cascade), past-time
- * clamping while the clamped bucket is mid-drain, burst batching, and
- * a heap-vs-wheel execution-order differential on a randomized
- * re-entrant workload.
+ * clamping while the clamped bucket is mid-drain, bucket-occupancy
+ * telemetry, and an execution-order differential against the
+ * reference queue (tests/sim/reference_event_queue.h) on a randomized
+ * re-entrant workload with bounded runs and a mid-run clear().
  */
 #include "sim/event_queue.h"
 
@@ -14,6 +15,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "tests/sim/reference_event_queue.h"
 
 namespace fld::sim {
 namespace {
@@ -32,7 +35,7 @@ TEST(TimingWheel, FarFutureEventsCascadeDown)
     // An event filed at an upper level must cascade through every
     // level below as the clock approaches, and still fire at its
     // exact timestamp in (when, seq) order.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     const TimePs far = 3 * slot_width(2) + 12345; // a level-2 resident
     eq.schedule_at(far, [&] { order.push_back(2); });
@@ -52,7 +55,7 @@ TEST(TimingWheel, BeyondHorizonOverflowRefilesAndFires)
     // of simulated time is unreachable by real workloads, but RTO
     // arithmetic on corrupted state could produce such timestamps and
     // they must not be lost or misordered.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     std::vector<int> order;
     eq.schedule_at(horizon + 500, [&] { order.push_back(2); });
@@ -73,7 +76,7 @@ TEST(TimingWheel, RunUntilDeadlineInsideEmptyBucketParksCleanly)
     // both before and after it: everything <= deadline fires, the
     // clock parks exactly on the deadline, and the later event
     // neither fires early nor gets lost.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule_at(1000, [&] { order.push_back(0); });
     const TimePs later = 40 * slot_width(0) + 17;
@@ -97,7 +100,7 @@ TEST(TimingWheel, RunUntilRepeatedEmptyDeadlinesStayMonotonic)
 {
     // Successive bounded runs with deadlines in empty buckets must
     // keep now() monotonic and still execute a far event dead on time.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     int fired = 0;
     const TimePs when = 5 * slot_width(1) + 99;
     eq.schedule_at(when, [&] { fired = 1; });
@@ -118,7 +121,7 @@ TEST(TimingWheel, SameTickFifoAcrossBucketBoundary)
     // first tick of the next: within each tick, execution must follow
     // scheduling order even though the ticks land in different
     // buckets and the interleaving alternates between them.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs last = 8 * slot_width(0) - 1; // bucket 7's final tick
     const TimePs first = 8 * slot_width(0);    // bucket 8's first tick
     std::vector<std::pair<TimePs, int>> order;
@@ -140,7 +143,7 @@ TEST(TimingWheel, SameTickFifoAcrossBucketBoundary)
 
 TEST(TimingWheel, PendingIsExactAcrossLevelsAndOverflow)
 {
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     std::vector<TimePs> whens = {
         5,                      // current bucket
@@ -173,7 +176,7 @@ TEST(TimingWheel, ClearMidCascadeKeepsCountersExact)
     // same-tick events and upper levels + overflow hold cascaded and
     // far work: everything pending is dropped, lifetime counters stay
     // exact, and the queue remains usable.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     int fired = 0;
     const TimePs tick = 2 * slot_width(1) + 7; // forces a cascade first
@@ -206,7 +209,7 @@ TEST(TimingWheel, PastClampMidDrainRunsAfterAllSameTickEvents)
     // clamped event must run this tick but after *every* previously
     // scheduled same-tick event — those still ahead in the drain list
     // and a re-entrant schedule made before the clamp.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     const TimePs tick = 3 * slot_width(0) + 5;
     eq.schedule_at(tick, [&] {
@@ -223,44 +226,11 @@ TEST(TimingWheel, PastClampMidDrainRunsAfterAllSameTickEvents)
 }
 #endif
 
-TEST(TimingWheel, ScheduleBatchMatchesIndividualScheduling)
-{
-    // schedule_batch(when, cbs, n) must be observationally identical
-    // to n schedule_at calls: same seq assignment, same FIFO order
-    // interleaved with ordinary schedules on the same tick.
-    EventQueue eq(EventQueue::Engine::Wheel);
-    std::vector<int> order;
-    eq.schedule_at(500, [&] { order.push_back(0); });
-    EventQueue::Callback batch[3] = {
-        EventQueue::Callback([&] { order.push_back(1); }),
-        EventQueue::Callback([&] { order.push_back(2); }),
-        EventQueue::Callback([&] { order.push_back(3); }),
-    };
-    eq.schedule_batch(500, batch, 3);
-    eq.schedule_at(500, [&] { order.push_back(4); });
-    EXPECT_EQ(eq.pending(), 5u);
-    EXPECT_EQ(eq.scheduled_total(), 5u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(eq.executed_total(), 5u);
-}
-
-TEST(TimingWheel, ScheduleBurstVariadicKeepsOrder)
-{
-    EventQueue eq(EventQueue::Engine::Wheel);
-    std::vector<int> order;
-    eq.schedule_burst(
-        100, [&] { order.push_back(0); }, [&] { order.push_back(1); },
-        [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(TimingWheel, StatsSeeBucketBatching)
 {
     // A same-tick train drains as one bucket: occupancy telemetry must
     // report it (this is the signal bench_sim_perf surfaces).
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     for (int i = 0; i < 32; ++i)
         eq.schedule_at(1000, [] {});
     eq.run();
@@ -272,38 +242,25 @@ TEST(TimingWheel, StatsSeeBucketBatching)
                      32.0 / double(ws.bucket_drains));
 }
 
-TEST(TimingWheel, HeapEngineReportsNoWheelStats)
-{
-    EventQueue eq(EventQueue::Engine::Heap);
-    for (int i = 0; i < 8; ++i)
-        eq.schedule_at(100 * TimePs(i + 1), [] {});
-    eq.run();
-    EXPECT_EQ(eq.wheel_stats().bucket_drains, 0u);
-    EXPECT_EQ(eq.wheel_stats().drained_events, 0u);
-    EXPECT_EQ(eq.executed_total(), 8u);
-}
-
-TEST(TimingWheel, DefaultEngineOverrideRoundTrips)
-{
-    EventQueue::Engine prev =
-        EventQueue::set_default_engine(EventQueue::Engine::Heap);
-    EXPECT_EQ(EventQueue().engine(), EventQueue::Engine::Heap);
-    EventQueue::set_default_engine(EventQueue::Engine::Wheel);
-    EXPECT_EQ(EventQueue().engine(), EventQueue::Engine::Wheel);
-    EventQueue::set_default_engine(prev);
-}
+/** One logged observation: (now, event id or slice marker). */
+using Log = std::vector<std::pair<TimePs, uint64_t>>;
 
 /**
  * Randomized re-entrant workload driven by a deterministic xorshift:
  * every callback logs (now, id) and may schedule followups at mixed
  * horizons — zero-delay, sub-bucket, cross-bucket, cross-level and
- * occasionally near-horizon. Executed identically by both engines.
+ * occasionally near-horizon. The queue is driven in run_until slices
+ * at random deadlines (each slice logs the clock, its event count and
+ * pending()), then drained by run(). The 300th event clear()s the
+ * queue from inside its own bucket and reseeds a batch of chains. The
+ * log depends only on the order the queue executes events in.
  */
-std::vector<std::pair<TimePs, uint32_t>>
-run_mixed_workload(EventQueue::Engine engine)
+template <typename Queue>
+Log
+run_mixed_workload()
 {
-    EventQueue eq(engine);
-    std::vector<std::pair<TimePs, uint32_t>> log;
+    Queue eq;
+    Log log;
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
         rng ^= rng << 13;
@@ -314,8 +271,8 @@ run_mixed_workload(EventQueue::Engine engine)
     uint32_t id = 0;
     struct Spawner
     {
-        EventQueue& eq;
-        std::vector<std::pair<TimePs, uint32_t>>& log;
+        Queue& eq;
+        Log& log;
         decltype(next)& rnd;
         uint32_t& id;
         void spawn(uint32_t depth)
@@ -332,6 +289,12 @@ run_mixed_workload(EventQueue::Engine engine)
             }
             eq.schedule_in(delta, [this, me, depth] {
                 log.emplace_back(eq.now(), me);
+                if (log.size() == 300) {
+                    eq.clear();
+                    for (int i = 0; i < 24; ++i)
+                        spawn(5);
+                    return;
+                }
                 if (depth > 0) {
                     spawn(depth - 1);
                     if (rnd() % 3 == 0)
@@ -341,17 +304,25 @@ run_mixed_workload(EventQueue::Engine engine)
         }
     } spawner{eq, log, next, id};
     for (int i = 0; i < 40; ++i)
-        spawner.spawn(5);
-    eq.run();
+        spawner.spawn(6);
+    constexpr uint64_t kSliceMark = uint64_t(1) << 63;
+    TimePs deadline = 0;
+    for (int slice = 0; slice < 64; ++slice) {
+        deadline += next() % (uint64_t(1) << 35);
+        uint64_t ran = eq.run_until(deadline);
+        log.emplace_back(eq.now(), kSliceMark | ran << 20 | eq.pending());
+    }
+    uint64_t ran = eq.run();
+    log.emplace_back(eq.now(), kSliceMark | ran << 20 | eq.pending());
     return log;
 }
 
-TEST(TimingWheel, WheelMatchesHeapOnMixedReentrantWorkload)
+TEST(TimingWheel, WheelMatchesReferenceOnMixedReentrantWorkload)
 {
-    auto wheel = run_mixed_workload(EventQueue::Engine::Wheel);
-    auto heap = run_mixed_workload(EventQueue::Engine::Heap);
-    ASSERT_GT(wheel.size(), 100u);
-    EXPECT_EQ(wheel, heap);
+    Log wheel = run_mixed_workload<EventQueue>();
+    Log ref = run_mixed_workload<reference::EventQueue>();
+    ASSERT_GT(wheel.size(), 500u);
+    EXPECT_EQ(wheel, ref);
 }
 
 } // namespace
