@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/fuzz.h" // fnv1a64
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fld::apps {
@@ -274,9 +274,7 @@ AppEmu::post_request(uint32_t slot_index)
         return false;
     }
     out.sent_digest =
-        sim::fnv1a64(buf, len,
-                     out.sent_digest ? out.sent_digest
-                                     : sim::kFnvBasis);
+        fnv1a64(buf, len, out.sent_digest ? out.sent_digest : kFnvBasis);
     out.sent_bytes += len;
     s.inflight_bytes += len;
     ++s.requests_posted;
@@ -378,9 +376,8 @@ SinkApp::drain()
             if (it != conn_port_.end()) {
                 SinkFlow& f = flows_[it->second];
                 const uint8_t* bytes = fp_.rx_arena(app_) + d.addr;
-                f.digest = sim::fnv1a64(
-                    bytes, d.len,
-                    f.digest ? f.digest : sim::kFnvBasis);
+                f.digest = fnv1a64(bytes, d.len,
+                                   f.digest ? f.digest : kFnvBasis);
                 f.bytes += d.len;
             }
         }

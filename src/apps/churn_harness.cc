@@ -1,6 +1,7 @@
 #include "apps/churn_harness.h"
 
 #include "util/bitops.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace fld::apps {
@@ -24,16 +25,6 @@ resolve_directory(const ChurnHarnessConfig& cfg)
     if (d.tenants < cfg.churn.tenants)
         d.tenants = cfg.churn.tenants;
     return d;
-}
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 } // namespace
@@ -217,16 +208,16 @@ ChurnHarness::report()
         violate(std::move(why));
 
     // Deterministic digest over everything externally observable.
-    uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, dir_.size());
-    h = fnv1a(h, ds.opens);
-    h = fnv1a(h, ds.closes);
-    h = fnv1a(h, ds.packets);
-    h = fnv1a(h, ds.bytes);
+    uint64_t h = kFnvBasis;
+    h = fnv1a64_fold(h, dir_.size());
+    h = fnv1a64_fold(h, ds.opens);
+    h = fnv1a64_fold(h, ds.closes);
+    h = fnv1a64_fold(h, ds.packets);
+    h = fnv1a64_fold(h, ds.bytes);
     for (const auto& ts : dir_.tenants()) {
-        h = fnv1a(h, ts.flows_open);
-        h = fnv1a(h, ts.packets);
-        h = fnv1a(h, ts.bytes);
+        h = fnv1a64_fold(h, ts.flows_open);
+        h = fnv1a64_fold(h, ts.packets);
+        h = fnv1a64_fold(h, ts.bytes);
     }
     r.state_hash = h;
     return r;

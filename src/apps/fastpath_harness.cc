@@ -4,8 +4,8 @@
 #include <sstream>
 
 #include "net/headers.h"
-#include "sim/fuzz.h" // fnv1a64
 #include "sim/trace.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace fld::apps {
@@ -14,15 +14,6 @@ namespace {
 
 constexpr uint32_t kServerIp = net::ipv4_addr(10, 0, 0, 1);
 constexpr uint32_t kClientIp = net::ipv4_addr(10, 0, 0, 2);
-
-uint64_t
-fold(uint64_t h, uint64_t v)
-{
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = uint8_t(v >> (8 * i));
-    return sim::fnv1a64(b, sizeof b, h);
-}
 
 uint64_t
 nic_drops(const nic::NicStats& st)
@@ -379,19 +370,20 @@ run_fastpath_scenario(const FastPathHarnessConfig& cfg)
     }
 
     // Flow hash: per-flow digests from both ends, in port order.
-    uint64_t h = sim::kFnvBasis;
+    uint64_t h = kFnvBasis;
     for (const auto& [port, f] : r.client_flows) {
-        h = fold(h, port);
-        h = fold(h, f.bytes);
-        h = fold(h, f.digest);
-        h = fold(h, uint64_t(f.opened) | uint64_t(f.closed) << 1 |
-                        uint64_t(f.reset) << 2);
+        h = fnv1a64_fold(h, port);
+        h = fnv1a64_fold(h, f.bytes);
+        h = fnv1a64_fold(h, f.digest);
+        h = fnv1a64_fold(h, uint64_t(f.opened) |
+                                uint64_t(f.closed) << 1 |
+                                uint64_t(f.reset) << 2);
     }
     for (const auto& [port, f] : r.server_flows) {
-        h = fold(h, port);
-        h = fold(h, f.bytes);
-        h = fold(h, f.digest);
-        h = fold(h, uint64_t(f.closed) | uint64_t(f.reset) << 1);
+        h = fnv1a64_fold(h, port);
+        h = fnv1a64_fold(h, f.bytes);
+        h = fnv1a64_fold(h, f.digest);
+        h = fnv1a64_fold(h, uint64_t(f.closed) | uint64_t(f.reset) << 1);
     }
     r.flow_hash = h;
 
@@ -399,28 +391,28 @@ run_fastpath_scenario(const FastPathHarnessConfig& cfg)
     // the same config must reproduce this bit-for-bit.
     for (const driver::FastPathStats* st :
          {&r.client_stats, &r.server_stats}) {
-        h = fold(h, st->frames_tx);
-        h = fold(h, st->frames_rx);
-        h = fold(h, st->segments_sent);
-        h = fold(h, st->segments_received);
-        h = fold(h, st->retransmits);
-        h = fold(h, st->pure_acks_sent);
-        h = fold(h, st->dup_segments);
-        h = fold(h, st->ooo_segments);
-        h = fold(h, st->tx_descs);
-        h = fold(h, st->rx_descs);
-        h = fold(h, st->tx_done_descs);
-        h = fold(h, st->rx_ring_stalls);
-        h = fold(h, st->driver_backpressure);
+        h = fnv1a64_fold(h, st->frames_tx);
+        h = fnv1a64_fold(h, st->frames_rx);
+        h = fnv1a64_fold(h, st->segments_sent);
+        h = fnv1a64_fold(h, st->segments_received);
+        h = fnv1a64_fold(h, st->retransmits);
+        h = fnv1a64_fold(h, st->pure_acks_sent);
+        h = fnv1a64_fold(h, st->dup_segments);
+        h = fnv1a64_fold(h, st->ooo_segments);
+        h = fnv1a64_fold(h, st->tx_descs);
+        h = fnv1a64_fold(h, st->rx_descs);
+        h = fnv1a64_fold(h, st->tx_done_descs);
+        h = fnv1a64_fold(h, st->rx_ring_stalls);
+        h = fnv1a64_fold(h, st->driver_backpressure);
     }
-    h = fold(h, r.opened);
-    h = fold(h, r.accepted);
-    h = fold(h, r.closed);
-    h = fold(h, r.resets);
-    h = fold(h, r.faults.total());
-    h = fold(h, r.ledger.tx);
-    h = fold(h, r.ledger.rx);
-    h = fold(h, uint64_t(r.end_time));
+    h = fnv1a64_fold(h, r.opened);
+    h = fnv1a64_fold(h, r.accepted);
+    h = fnv1a64_fold(h, r.closed);
+    h = fnv1a64_fold(h, r.resets);
+    h = fnv1a64_fold(h, r.faults.total());
+    h = fnv1a64_fold(h, r.ledger.tx);
+    h = fnv1a64_fold(h, r.ledger.rx);
+    h = fnv1a64_fold(h, uint64_t(r.end_time));
     r.state_hash = h;
 
     r.ok = r.violations.empty() && r.trace_violations.empty();

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/fuzz.h"
 #include "util/bitops.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fld::apps {
@@ -176,10 +176,10 @@ PacketGen::on_rx(net::Packet&& pkt)
                 // is order-blind but still duplicate-sensitive.
                 uint32_t flow =
                     uint32_t(cookie % std::max(1u, cfg_.flows));
-                uint64_t h = sim::fnv1a64(p, 8);
+                uint64_t h = fnv1a64(p, 8);
                 uint64_t zero = 0;
-                h = sim::fnv1a64(&zero, 8, h);
-                h = sim::fnv1a64(p + 16, pp.payload_len - 16, h);
+                h = fnv1a64(&zero, 8, h);
+                h = fnv1a64(p + 16, pp.payload_len - 16, h);
                 flow_digests_[flow] += h;
             }
         }

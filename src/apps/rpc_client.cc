@@ -4,24 +4,11 @@
 #include <cstring>
 
 #include "apps/rpc_service.h" // rpc_execute (shadow oracle), method ids
-#include "sim/fuzz.h"         // fnv1a64
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace fld::apps {
-
-namespace {
-
-uint64_t
-fold_u64(uint64_t h, uint64_t v)
-{
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = uint8_t(v >> (8 * i));
-    return sim::fnv1a64(b, sizeof b, h);
-}
-
-} // namespace
 
 std::vector<uint8_t>
 build_defrag_payload(Rng& rng, uint32_t datum_len)
@@ -60,7 +47,7 @@ build_defrag_payload(Rng& rng, uint32_t datum_len)
 
 RpcClientPool::RpcClientPool(sim::EventQueue& eq, driver::FastPath& fp,
                              RpcClientConfig cfg)
-    : eq_(eq), fp_(fp), cfg_(cfg), latency_fold_(sim::kFnvBasis)
+    : eq_(eq), fp_(fp), cfg_(cfg), latency_fold_(kFnvBasis)
 {
     app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
                             [this] { on_notify(); });
@@ -346,9 +333,9 @@ RpcClientPool::on_response(uint32_t slot_index, rpc::Frame&& f)
 
     sim::TimePs lat = eq_.now() - s.t0;
     latency_.add(sim::to_us(lat));
-    latency_fold_ = fold_u64(latency_fold_, uint64_t(lat));
+    latency_fold_ = fnv1a64_fold(latency_fold_, uint64_t(lat));
     digests_[s.req_id] =
-        sim::fnv1a64(f.payload.data(), f.payload.size());
+        fnv1a64(f.payload.data(), f.payload.size());
     ++stats_.responses;
     stats_.response_bytes += f.payload.size();
     ++s.requests_done;

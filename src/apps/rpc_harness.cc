@@ -3,8 +3,8 @@
 #include <sstream>
 
 #include "net/headers.h"
-#include "sim/fuzz.h" // fnv1a64
 #include "sim/trace.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace fld::apps {
@@ -13,15 +13,6 @@ namespace {
 
 constexpr uint32_t kServerIp = net::ipv4_addr(10, 0, 0, 1);
 constexpr uint32_t kClientIp = net::ipv4_addr(10, 0, 0, 2);
-
-uint64_t
-fold(uint64_t h, uint64_t v)
-{
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = uint8_t(v >> (8 * i));
-    return sim::fnv1a64(b, sizeof b, h);
-}
 
 uint64_t
 nic_drops(const nic::NicStats& st)
@@ -303,45 +294,45 @@ run_rpc_scenario(const RpcHarnessConfig& cfg)
     }
 
     // Digest hash: the per-request response digests, in id order.
-    uint64_t h = sim::kFnvBasis;
+    uint64_t h = kFnvBasis;
     for (const auto& [id, digest] : r.digests) {
-        h = fold(h, id);
-        h = fold(h, digest);
+        h = fnv1a64_fold(h, id);
+        h = fnv1a64_fold(h, digest);
     }
     r.digest_hash = h;
 
     // State hash: every observable counter and the exact latency
     // sequence folded in — same-config reruns match bit-for-bit.
-    h = fold(h, pool.latency_fold());
+    h = fnv1a64_fold(h, pool.latency_fold());
     for (const driver::FastPathStats* st :
          {&r.client_stats, &r.server_stats}) {
-        h = fold(h, st->frames_tx);
-        h = fold(h, st->frames_rx);
-        h = fold(h, st->segments_sent);
-        h = fold(h, st->segments_received);
-        h = fold(h, st->retransmits);
-        h = fold(h, st->pure_acks_sent);
-        h = fold(h, st->tx_descs);
-        h = fold(h, st->rx_descs);
-        h = fold(h, st->tx_done_descs);
-        h = fold(h, st->tagged_tx_done_descs);
-        h = fold(h, st->rx_ring_stalls);
-        h = fold(h, st->driver_backpressure);
+        h = fnv1a64_fold(h, st->frames_tx);
+        h = fnv1a64_fold(h, st->frames_rx);
+        h = fnv1a64_fold(h, st->segments_sent);
+        h = fnv1a64_fold(h, st->segments_received);
+        h = fnv1a64_fold(h, st->retransmits);
+        h = fnv1a64_fold(h, st->pure_acks_sent);
+        h = fnv1a64_fold(h, st->tx_descs);
+        h = fnv1a64_fold(h, st->rx_descs);
+        h = fnv1a64_fold(h, st->tx_done_descs);
+        h = fnv1a64_fold(h, st->tagged_tx_done_descs);
+        h = fnv1a64_fold(h, st->rx_ring_stalls);
+        h = fnv1a64_fold(h, st->driver_backpressure);
     }
-    h = fold(h, r.client_app.opened);
-    h = fold(h, r.client_app.closed);
-    h = fold(h, r.client_app.aborted);
-    h = fold(h, r.client_app.requests_sent);
-    h = fold(h, r.client_app.responses);
-    h = fold(h, r.server_app.requests);
-    h = fold(h, r.server_app.responses);
-    h = fold(h, r.server_app.responses_acked);
-    h = fold(h, r.dispatch.dispatched);
-    h = fold(h, uint64_t(r.dispatch.busy_time));
-    h = fold(h, r.faults.total());
-    h = fold(h, r.ledger.tx);
-    h = fold(h, r.ledger.rx);
-    h = fold(h, uint64_t(r.end_time));
+    h = fnv1a64_fold(h, r.client_app.opened);
+    h = fnv1a64_fold(h, r.client_app.closed);
+    h = fnv1a64_fold(h, r.client_app.aborted);
+    h = fnv1a64_fold(h, r.client_app.requests_sent);
+    h = fnv1a64_fold(h, r.client_app.responses);
+    h = fnv1a64_fold(h, r.server_app.requests);
+    h = fnv1a64_fold(h, r.server_app.responses);
+    h = fnv1a64_fold(h, r.server_app.responses_acked);
+    h = fnv1a64_fold(h, r.dispatch.dispatched);
+    h = fnv1a64_fold(h, uint64_t(r.dispatch.busy_time));
+    h = fnv1a64_fold(h, r.faults.total());
+    h = fnv1a64_fold(h, r.ledger.tx);
+    h = fnv1a64_fold(h, r.ledger.rx);
+    h = fnv1a64_fold(h, uint64_t(r.end_time));
     r.state_hash = h;
 
     r.ok = r.violations.empty() && r.trace_violations.empty();

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "crypto/zuc.h"
-#include "sim/fuzz.h" // fnv1a64
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fld::apps {
@@ -94,7 +94,7 @@ rpc_execute(uint8_t method, uint64_t request_id, const uint8_t* payload,
         return defrag_reassemble(payload, len);
     case kRpcBusy: {
         // Digest + length: a small fixed-size receipt.
-        uint64_t d = sim::fnv1a64(payload, len);
+        uint64_t d = fnv1a64(payload, len);
         std::vector<uint8_t> out(12);
         for (int i = 0; i < 8; ++i)
             out[size_t(i)] = uint8_t(d >> (8 * i));

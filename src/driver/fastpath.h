@@ -4,9 +4,10 @@
  *
  * The paper's FLD re-implements the NIC driver an accelerator needs;
  * serving real applications additionally needs the *host* transmit
- * path the kernel normally provides. This module grows the
- * single-connection SoftwareSendStack (PR 3) into a per-flow fast
- * path in the shape of TAS/flextcp (SNIPPETS.md snippet 1):
+ * path the kernel normally provides: ARP resolution (frames queue per
+ * next hop until it answers), TCP segmentation at the MSS, and
+ * go-back-N retransmission. This module is that path, built per flow
+ * in the shape of TAS/flextcp (SNIPPETS.md snippet 1):
  *
  *  - Applications talk to the stack through per-application SPSC
  *    descriptor rings. Each entry is a flextcp-style
@@ -18,11 +19,9 @@
  *    control messages between the application and the stack, never
  *    the data rings.
  *  - Every connection carries its own seq/ack/rto/go-back-N state and
- *    its own retransmission timer. This fixes the old stack's
- *    single-global-timer/global-ARP-queue design, where one stalled
- *    ARP entry or one lossy flow delayed unrelated flows' segments:
- *    ARP parking and timeouts are now strictly per next-hop and
- *    per connection.
+ *    its own retransmission timer, and ARP parking is per next hop,
+ *    so one stalled ARP entry or one lossy flow never delays
+ *    unrelated flows' segments.
  *
  * The stack is transport-agnostic: frames leave through a
  * caller-supplied hook (a CpuDriver queue, the FLD AXI stream, or a
@@ -280,9 +279,6 @@ class Connection
     uint64_t cookie_ = 0;
     ConnConfig cfg_;
     ConnState state_ = ConnState::Closed;
-    /** Legacy single-connection mode (SoftwareSendStack): resets
-     *  clear the queues but keep the connection usable. */
-    bool legacy_ = false;
     bool auto_close_peer_fin_ = true;
 
     uint32_t snd_una_ = 1;
@@ -340,8 +336,6 @@ struct FastPathConfig
      *  so a peer retransmitting its FIN still gets re-ACKed. Scaled
      *  on top of the connection's rto. */
     uint32_t time_wait_rtos = 4;
-    /** Answer ARP requests for our own IP (a real host does). */
-    bool arp_responder = true;
 };
 
 struct FastPathStats
@@ -424,17 +418,17 @@ class FastPath
     /** Accept passive connections on @p local_port for @p app. */
     void listen(uint16_t local_port, uint32_t app);
     /**
-     * Create a connection already in Established without a handshake
-     * (tests, and the SoftwareSendStack compatibility wrapper).
-     * @p legacy keeps the connection usable after a reset, matching
-     * the old single-connection stack.
+     * Create a connection already in Established without a handshake.
+     * With @p app = kNoApp the connection has no rings and no control
+     * messages: the test seam for TCP machinery without the ring ABI.
      */
     uint32_t open_established(uint32_t app, uint64_t cookie,
                               uint32_t remote_ip, uint16_t remote_port,
-                              uint16_t local_port, bool legacy = false);
+                              uint16_t local_port);
 
-    /** Stream bytes directly (ring-less path; used by the wrapper and
-     *  by tests that exercise TCP machinery without the ring ABI). */
+    /** Stream bytes directly, bypassing the TX ring (the ring-less
+     *  path tests use to drive segmentation, windowing and
+     *  retransmission). Returns the bytes accepted (all). */
     size_t stream_send(uint32_t conn_id, const uint8_t* data,
                        size_t len);
 

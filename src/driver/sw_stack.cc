@@ -1,7 +1,5 @@
 #include "driver/sw_stack.h"
 
-#include <algorithm>
-
 namespace fld::driver {
 
 SoftwareReceiveStack::SoftwareReceiveStack(sim::EventQueue& eq,
@@ -54,61 +52,6 @@ SoftwareReceiveStack::account(uint32_t, const net::Packet& pkt)
     ++packets_;
     delivered_ += pp.payload_len;
     meter_.record(eq_.now(), pp.payload_len);
-}
-
-// ---------------------------------------------------------------------
-// Send side
-// ---------------------------------------------------------------------
-
-FastPathConfig
-SoftwareSendStack::fp_config(const SendStackConfig& cfg)
-{
-    FastPathConfig fp;
-    fp.mac = cfg.src_mac;
-    fp.ip = cfg.src_ip;
-    fp.conn.mss = cfg.mss;
-    fp.conn.window_segments = cfg.window_segments;
-    fp.conn.rto = cfg.rto;
-    fp.conn.max_retries = cfg.max_retries;
-    fp.slot_bytes = std::max(2048u, cfg.mss);
-    // The legacy stack never answered ARP requests; keep frame-level
-    // behavior identical for callers counting emitted frames.
-    fp.arp_responder = false;
-    return fp;
-}
-
-SoftwareSendStack::SoftwareSendStack(sim::EventQueue& eq, TxFn tx,
-                                     SendStackConfig cfg)
-    : fp_(eq, fp_config(cfg))
-{
-    fp_.set_tx([fn = std::move(tx)](net::Packet&& p) {
-        fn(std::move(p));
-        return true; // the hook has no backpressure channel
-    });
-    conn_id_ = fp_.open_established(FastPath::kNoApp, 0, cfg.dst_ip,
-                                    cfg.dport, cfg.sport,
-                                    /*legacy=*/true);
-    c_ = fp_.conn(conn_id_);
-}
-
-void
-SoftwareSendStack::add_arp_entry(uint32_t ip, const net::MacAddr& mac)
-{
-    fp_.add_arp_entry(ip, mac);
-}
-
-size_t
-SoftwareSendStack::send(const uint8_t* data, size_t len)
-{
-    return fp_.stream_send(conn_id_, data, len);
-}
-
-void
-SoftwareSendStack::on_rx(const net::Packet& pkt)
-{
-    // Intentional copy: the legacy interface passes frames by
-    // reference while the fast path consumes them.
-    fp_.on_rx(net::Packet(pkt));
 }
 
 } // namespace fld::driver

@@ -1,27 +1,23 @@
 /**
  * @file
- * Software network stack models (kernel TCP/IP path).
+ * Software receive stack model (kernel TCP/IP receive path).
  *
- * The receive side is used by the IP-defragmentation experiment
- * (§8.2.2) as the CPU baseline: when the NIC cannot validate L4
- * checksums (fragments) the stack pays a per-byte software checksum,
- * and when software defragmentation is enabled it pays reassembly
- * costs — all on the core RSS chose, which for fragments is a single
- * core.
+ * SoftwareReceiveStack is the CPU baseline of the
+ * IP-defragmentation experiment (§8.2.2): when the NIC cannot
+ * validate L4 checksums (fragments) the stack pays a per-byte software
+ * checksum, and when software defragmentation is enabled it pays
+ * reassembly costs — all on the core RSS chose, which for fragments is
+ * a single core.
  *
- * The send side models the kernel transmit path a CPU-driven
- * application depends on and an FLD-attached accelerator must
- * re-implement: ARP resolution (queue until the next hop answers),
- * TCP segmentation at the MSS, and a go-back-N retransmission timer.
+ * The host transmit path (ARP resolution, MSS segmentation, go-back-N
+ * retransmission) is driver::FastPath.
  */
 #ifndef FLD_DRIVER_SW_STACK_H
 #define FLD_DRIVER_SW_STACK_H
 
 #include <cstdint>
-#include <functional>
 
 #include "driver/cpu_driver.h"
-#include "driver/fastpath.h"
 #include "driver/host.h"
 #include "net/headers.h"
 #include "net/ip_reassembly.h"
@@ -78,92 +74,6 @@ class SoftwareReceiveStack
     uint64_t packets_ = 0;
     uint64_t dropped_ = 0;
     sim::RateMeter meter_;
-};
-
-// ---------------------------------------------------------------------
-// Send side
-// ---------------------------------------------------------------------
-
-struct SendStackConfig
-{
-    net::MacAddr src_mac{0x02, 0, 0, 0, 0, 0x51};
-    uint32_t src_ip = net::ipv4_addr(192, 168, 1, 2);
-    uint32_t dst_ip = net::ipv4_addr(192, 168, 1, 1);
-    uint16_t sport = 40000;
-    uint16_t dport = 5001;
-
-    /** TCP payload bytes per segment. */
-    uint32_t mss = 1460;
-    /** Go-back-N send window, in unacknowledged segments. */
-    uint32_t window_segments = 8;
-    /** Retransmission timeout. */
-    sim::TimePs rto = sim::microseconds(200);
-    /** Give up (and count a reset) after this many back-to-back
-     *  timeouts with no forward progress. */
-    uint32_t max_retries = 8;
-};
-
-/**
- * Single-connection kernel send path: stream bytes in, Ethernet
- * frames out through a caller-supplied transmit hook.
- *
- * Since the per-flow fast path landed this is a thin compatibility
- * wrapper over driver::FastPath with one pre-established legacy
- * connection — same frame bytes, same counters, same timer
- * semantics as the original single-connection stack:
- *
- * - ARP: frames to an unresolved next hop are queued while a request
- *   is broadcast; the reply releases them. Replies also refresh the
- *   cache unprompted (gratuitous ARP).
- * - Segmentation: send() slices the stream at MSS boundaries; the
- *   final short segment carries PSH.
- * - Reliability: go-back-N with a per-connection timer; a generation
- *   counter voids timers armed before the latest ACK, so a stale
- *   callback never retransmits acknowledged data.
- */
-class SoftwareSendStack
-{
-  public:
-    using TxFn = std::function<void(net::Packet&&)>;
-
-    SoftwareSendStack(sim::EventQueue& eq, TxFn tx,
-                      SendStackConfig cfg = {});
-
-    /** Stream bytes to the peer; returns bytes accepted (all). */
-    size_t send(const uint8_t* data, size_t len);
-    size_t send(const std::vector<uint8_t>& data)
-    {
-        return send(data.data(), data.size());
-    }
-
-    /** Feed a received frame: ARP replies and TCP ACKs. */
-    void on_rx(const net::Packet& pkt);
-
-    /** Pre-seed the ARP cache (static neighbor entry). */
-    void add_arp_entry(uint32_t ip, const net::MacAddr& mac);
-    bool resolved(uint32_t ip) const { return fp_.resolved(ip); }
-
-    /** The underlying fast path (shared with no one: one legacy
-     *  connection, ring-less). */
-    FastPath& fastpath() { return fp_; }
-
-    // Introspection for tests and stats.
-    uint32_t snd_una() const { return c_->snd_una(); }
-    uint32_t snd_nxt() const { return c_->snd_nxt(); }
-    uint64_t segments_sent() const { return c_->segments_sent(); }
-    uint64_t retransmits() const { return c_->retransmits(); }
-    uint64_t arp_requests() const { return fp_.stats().arp_requests; }
-    uint64_t resets() const { return c_->resets(); }
-    size_t unacked_segments() const { return c_->unacked_segments(); }
-    size_t backlog_segments() const { return c_->backlog_segments(); }
-    bool timer_armed() const { return c_->timer_armed(); }
-
-  private:
-    static FastPathConfig fp_config(const SendStackConfig& cfg);
-
-    FastPath fp_;
-    uint32_t conn_id_ = FastPath::kNoConn;
-    const Connection* c_ = nullptr;
 };
 
 } // namespace fld::driver

@@ -3,20 +3,10 @@
 #include <algorithm>
 
 #include "util/bitops.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fld::core {
-
-namespace {
-/** Per-bank hash: splitmix64 finalizer over key mixed with bank salt. */
-uint64_t
-mix(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-} // namespace
 
 CuckooTable::CuckooTable(size_t capacity, unsigned banks,
                          size_t stash_size, uint64_t seed)
@@ -34,7 +24,9 @@ CuckooTable::CuckooTable(size_t capacity, unsigned banks,
 size_t
 CuckooTable::bank_index(unsigned bank, uint64_t key) const
 {
-    uint64_t h = mix(key + seed_ + uint64_t(bank) * 0x9e3779b97f4a7c15ull);
+    // Per-bank hash: splitmix64 finalizer over key mixed with bank salt.
+    uint64_t h = splitmix64_finalize(key + seed_ +
+                                     uint64_t(bank) * 0x9e3779b97f4a7c15ull);
     return size_t(bank) * slots_per_bank_ + size_t(h % slots_per_bank_);
 }
 

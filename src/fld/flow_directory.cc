@@ -5,23 +5,16 @@
 
 #include "model/memory_model.h"
 #include "util/bitops.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace fld::core {
 
 namespace {
-/** splitmix64 finalizer (same family as the cuckoo bank hashes, but
- *  salted differently so shard choice and bank choice are
- *  independent). */
-uint64_t
-mix(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
+/** Shard-choice salt: the shard hash is the cuckoo banks' splitmix64
+ *  finalizer, salted differently so shard choice and bank choice are
+ *  independent. */
 constexpr uint64_t kShardSalt = 0xabcdef1234567890ull;
 
 /** One cuckoo shard per 16k flows keeps eviction chains short while
@@ -78,7 +71,7 @@ FlowDirectory::FlowDirectory(FlowDirectoryConfig cfg) : cfg_(cfg)
 uint32_t
 FlowDirectory::shard_of(uint64_t key) const
 {
-    return uint32_t(mix(key ^ (cfg_.seed + kShardSalt)) &
+    return uint32_t(splitmix64_finalize(key ^ (cfg_.seed + kShardSalt)) &
                     (cfg_.shards - 1));
 }
 

@@ -4,23 +4,10 @@
 #include <limits>
 
 #include "util/bitops.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fld::core {
-
-namespace {
-/** splitmix64 finalizer — same mixer the cuckoo banks use. */
-uint64_t
-mix(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x00000100000001b3ull;
-} // namespace
 
 HeavyHitterSketch::HeavyHitterSketch(SketchConfig cfg) : cfg_(cfg)
 {
@@ -35,8 +22,9 @@ HeavyHitterSketch::HeavyHitterSketch(SketchConfig cfg) : cfg_(cfg)
 size_t
 HeavyHitterSketch::cell(uint32_t row, uint64_t key) const
 {
-    uint64_t h =
-        mix(key + cfg_.seed + uint64_t(row) * 0x9e3779b97f4a7c15ull);
+    // Same mixer the cuckoo banks use, salted per row.
+    uint64_t h = splitmix64_finalize(key + cfg_.seed +
+                                     uint64_t(row) * 0x9e3779b97f4a7c15ull);
     return size_t(row) * cfg_.width + size_t(h & (cfg_.width - 1));
 }
 
@@ -148,12 +136,7 @@ uint64_t
 HeavyHitterSketch::state_hash() const
 {
     uint64_t h = kFnvBasis;
-    auto feed = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= kFnvPrime;
-        }
-    };
+    auto feed = [&h](uint64_t v) { h = fnv1a64_fold(h, v); };
     for (uint32_t c : rows_)
         feed(c);
     for (const TopEntry& e : top()) { // sorted: order-independent

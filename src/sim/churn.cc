@@ -2,18 +2,9 @@
 
 #include <cmath>
 
-namespace fld::sim {
+#include "util/hash.h"
 
-namespace {
-/** splitmix64 finalizer: serial -> well-mixed 64-bit flow key. */
-uint64_t
-mix(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-} // namespace
+namespace fld::sim {
 
 ChurnGen::ChurnGen(ChurnConfig cfg) : cfg_(cfg), rng_(cfg.seed)
 {
@@ -33,7 +24,8 @@ ChurnGen::open_new()
     // Round-robin tenants during the ramp so every tenant reaches its
     // quota; afterwards replacements keep the assignment uniform.
     uint16_t tenant = uint16_t(serial % cfg_.tenants);
-    uint64_t key = mix(serial + (cfg_.seed << 17) + 0x51ull);
+    uint64_t key =
+        splitmix64_finalize(serial + (cfg_.seed << 17) + 0x51ull);
     live_.push_back({key, tenant});
     return {now_, ChurnOp::Open, key, tenant, 0, false};
 }
@@ -70,7 +62,7 @@ ChurnGen::next()
     if (cfg_.stray_close_prob > 0 &&
         rng_.chance(cfg_.stray_close_prob)) {
         // A key no open_new() ever produced (different salt).
-        uint64_t key = mix(rng_.next()) | (1ull << 63);
+        uint64_t key = splitmix64_finalize(rng_.next()) | (1ull << 63);
         return {now_, ChurnOp::Close, key, 0, 0, true};
     }
 

@@ -2,24 +2,14 @@
 
 #include <cmath>
 
-namespace fld {
+#include "util/hash.h"
 
-namespace {
-/** splitmix64: used only to expand the seed into the xoshiro state. */
-uint64_t
-splitmix64(uint64_t& x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-} // namespace
+namespace fld {
 
 void
 Rng::reseed(uint64_t seed)
 {
+    // splitmix64 expands the one seed word into the xoshiro state.
     uint64_t x = seed;
     for (auto& s : s_)
         s = splitmix64(x);

@@ -20,7 +20,7 @@
 #include "apps/rpc_service.h"
 #include "crypto/zuc.h"
 #include "sim/event_queue.h"
-#include "sim/fuzz.h" // fnv1a64
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace fld::apps {
@@ -148,7 +148,7 @@ TEST(RpcDispatch, BusyConformance)
     auto p = random_payload(rng, 123);
     rpc::Frame r = run_one(disp, eq, kRpcBusy, 9, p);
     ASSERT_EQ(r.payload.size(), 12u);
-    uint64_t d = sim::fnv1a64(p.data(), p.size());
+    uint64_t d = fnv1a64(p.data(), p.size());
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(r.payload[size_t(i)], uint8_t(d >> (8 * i)));
     for (int i = 0; i < 4; ++i)

@@ -1,19 +1,22 @@
 /**
  * @file
- * Connection-lifecycle tests for the host fast path: handshake state
+ * Connection tests for the host fast path: handshake state
  * progression, randomized open/close/reset interleavings across 1200
- * connections checked against a shadow state-machine oracle, and the
+ * connections checked against a shadow state-machine oracle, the
  * per-flow isolation regressions (per-connection retransmit timers,
- * per-next-hop ARP parking) that the old single-connection
- * SoftwareSendStack design could not provide.
+ * per-next-hop ARP parking), and the send-path units (ARP, MSS
+ * segmentation, window, retransmission timer) on one ring-less
+ * connection.
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <map>
 #include <random>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "apps/app_emu.h"
 #include "driver/fastpath.h"
@@ -707,4 +710,300 @@ TEST(FastPathIsolation, PerNextHopArpDoesNotBlockResolvedFlows)
     eq.run();
     EXPECT_EQ(fp.conn(a)->retransmits(), 0u);
     EXPECT_EQ(fp.conn(b)->retransmits(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Send-path units: ARP parking, MSS segmentation, the go-back-N window
+// and the retransmission timer on one ring-less (kNoApp) connection,
+// driven through stream_send() and on_rx(). The suite keeps the name
+// of the single-connection software send stack these checks were
+// first written against.
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr uint16_t kSendPort = 40000;
+constexpr uint16_t kPeerPort = 5001;
+
+/** One stack with one established ring-less connection to kServerIp
+ *  (mss 100, window 4 segments, rto 200 us), capturing every frame it
+ *  transmits. */
+struct SendPath
+{
+    sim::EventQueue eq;
+    std::vector<net::Packet> frames;
+    FastPath fp;
+    uint32_t id = FastPath::kNoConn;
+
+    explicit SendPath(uint32_t max_retries = 8)
+        : fp(eq, config(max_retries))
+    {
+        fp.set_tx([this](net::Packet&& f) {
+            frames.push_back(std::move(f));
+            return true;
+        });
+        id = fp.open_established(FastPath::kNoApp, 0, kServerIp,
+                                 kPeerPort, kSendPort);
+    }
+
+    static driver::FastPathConfig config(uint32_t max_retries)
+    {
+        driver::FastPathConfig c;
+        c.mac = kCliMac;
+        c.ip = kClientIp;
+        c.conn.mss = 100;
+        c.conn.window_segments = 4;
+        c.conn.rto = sim::microseconds(200);
+        c.conn.max_retries = max_retries;
+        return c;
+    }
+
+    const driver::Connection& conn() const { return *fp.conn(id); }
+    uint32_t mss() const { return fp.config().conn.mss; }
+    sim::TimePs rto() const { return fp.config().conn.rto; }
+
+    void resolve() { fp.add_arp_entry(kServerIp, kSrvMac); }
+
+    /** Stream @p n patterned bytes; returns them. */
+    std::vector<uint8_t> send(size_t n)
+    {
+        std::vector<uint8_t> v(n);
+        for (size_t i = 0; i < n; ++i)
+            v[i] = uint8_t(i * 13 + 7);
+        EXPECT_EQ(fp.stream_send(id, v.data(), v.size()), n);
+        return v;
+    }
+
+    /** The peer's cumulative ACK up to @p ack. */
+    void ack(uint32_t ack)
+    {
+        fp.on_rx(net::PacketBuilder()
+                     .eth(kSrvMac, kCliMac)
+                     .ipv4(kServerIp, kClientIp, net::kIpProtoTcp)
+                     .tcp(kPeerPort, kSendPort, /*seq=*/1, ack, kAck)
+                     .build());
+    }
+};
+
+/** The TCP header of a transmitted frame. */
+net::TcpHeader
+tcp_of(const net::Packet& f)
+{
+    return net::TcpHeader::decode(f.bytes() + net::parse(f).l4_offset);
+}
+
+constexpr uint8_t kPsh = 0x08;
+
+} // namespace
+
+TEST(SwSendStack, UnresolvedPeerTriggersArpRequestAndQueues)
+{
+    SendPath s;
+    s.send(250); // 3 segments
+    s.eq.run();
+
+    // Only the ARP request went out; data waits for the reply.
+    ASSERT_EQ(s.frames.size(), 1u);
+    EXPECT_EQ(s.conn().backlog_segments(), 3u);
+    EXPECT_EQ(s.conn().segments_sent(), 0u);
+    EXPECT_EQ(s.fp.stats().arp_requests, 1u);
+
+    const net::Packet& req = s.frames[0];
+    net::EthHeader eth = net::EthHeader::decode(req.bytes());
+    EXPECT_EQ(eth.ethertype, net::kEtherTypeArp);
+    net::MacAddr bcast = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+    EXPECT_EQ(eth.dst, bcast);
+
+    auto arp = net::ArpHeader::decode(req.bytes() + net::kEthHeaderLen,
+                                      req.size() - net::kEthHeaderLen);
+    ASSERT_TRUE(arp.has_value());
+    EXPECT_EQ(arp->oper, net::ArpHeader::kRequest);
+    EXPECT_EQ(arp->target_ip, kServerIp);
+    EXPECT_EQ(arp->sender_ip, kClientIp);
+}
+
+TEST(SwSendStack, ArpReplyReleasesQueuedSegments)
+{
+    SendPath s;
+    s.send(250);
+    ASSERT_EQ(s.frames.size(), 1u); // the ARP request
+
+    net::ArpHeader reply;
+    reply.oper = net::ArpHeader::kReply;
+    reply.sender_mac = kSrvMac;
+    reply.sender_ip = kServerIp;
+    reply.target_mac = kCliMac;
+    reply.target_ip = kClientIp;
+    net::EthHeader eth;
+    eth.src = kSrvMac;
+    eth.dst = kCliMac;
+    eth.ethertype = net::kEtherTypeArp;
+    net::Packet frame;
+    frame.data.resize(net::kEthHeaderLen + net::kArpLen);
+    eth.encode(frame.bytes());
+    reply.encode(frame.bytes() + net::kEthHeaderLen);
+
+    s.fp.on_rx(std::move(frame)); // transmission is synchronous
+
+    EXPECT_TRUE(s.fp.resolved(kServerIp));
+    ASSERT_EQ(s.frames.size(), 4u); // request + 3 data segments
+    for (size_t i = 1; i < s.frames.size(); ++i) {
+        net::EthHeader h = net::EthHeader::decode(s.frames[i].bytes());
+        EXPECT_EQ(h.dst, kSrvMac) << "segment " << i;
+    }
+    // Exactly one request even though three segments were waiting.
+    EXPECT_EQ(s.fp.stats().arp_requests, 1u);
+}
+
+TEST(SwSendStack, StaticArpEntrySkipsResolution)
+{
+    SendPath s;
+    s.resolve();
+    s.send(50);
+    ASSERT_EQ(s.frames.size(), 1u);
+    EXPECT_TRUE(net::parse(s.frames[0]).has_tcp);
+    EXPECT_EQ(s.fp.stats().arp_requests, 0u);
+}
+
+TEST(SwSendStack, SegmentsAtMssBoundaries)
+{
+    SendPath s;
+    s.resolve();
+    std::vector<uint8_t> data = s.send(3 * s.mss() + 7);
+
+    ASSERT_EQ(s.frames.size(), 4u);
+    uint32_t expect_seq = 1;
+    size_t off = 0;
+    for (size_t i = 0; i < s.frames.size(); ++i) {
+        net::ParsedPacket pp = net::parse(s.frames[i]);
+        ASSERT_TRUE(pp.has_tcp) << "segment " << i;
+        EXPECT_EQ(tcp_of(s.frames[i]).seq, expect_seq) << "segment " << i;
+        size_t want = (i < 3) ? s.mss() : 7u;
+        ASSERT_EQ(pp.payload_len, want) << "segment " << i;
+        EXPECT_EQ(0, std::memcmp(s.frames[i].bytes() + pp.payload_offset,
+                                 data.data() + off, want))
+            << "segment " << i;
+        // PSH marks the end of the application write, nothing earlier.
+        EXPECT_EQ((tcp_of(s.frames[i]).flags & kPsh) != 0, i == 3)
+            << "segment " << i;
+        expect_seq += uint32_t(want);
+        off += want;
+    }
+    EXPECT_EQ(s.conn().snd_nxt(), 1u + uint32_t(data.size()));
+}
+
+TEST(SwSendStack, ExactMultipleOfMssHasNoEmptyTail)
+{
+    SendPath s;
+    s.resolve();
+    s.send(2 * s.mss());
+    ASSERT_EQ(s.frames.size(), 2u);
+    EXPECT_EQ(net::parse(s.frames[1]).payload_len, s.mss());
+    EXPECT_TRUE(tcp_of(s.frames[1]).flags & kPsh); // still PSH-terminated
+}
+
+TEST(SwSendStack, WindowLimitsInFlightSegments)
+{
+    SendPath s; // window = 4 segments
+    s.resolve();
+    s.send(6 * s.mss());
+    EXPECT_EQ(s.frames.size(), 4u);
+    EXPECT_EQ(s.conn().unacked_segments(), 4u);
+    EXPECT_EQ(s.conn().backlog_segments(), 2u);
+
+    // Cumulative ACK for the first two segments opens the window.
+    s.ack(1 + 2 * s.mss());
+    EXPECT_EQ(s.frames.size(), 6u);
+    EXPECT_EQ(s.conn().snd_una(), 1 + 2 * s.mss());
+    EXPECT_EQ(s.conn().backlog_segments(), 0u);
+}
+
+TEST(SwSendStack, TimerArmsOnFirstUnackedSegment)
+{
+    SendPath s;
+    s.resolve();
+    EXPECT_FALSE(s.conn().timer_armed());
+    s.send(50);
+    EXPECT_TRUE(s.conn().timer_armed());
+}
+
+TEST(SwSendStack, TimeoutRetransmitsWholeWindow)
+{
+    SendPath s;
+    s.resolve();
+    s.send(2 * s.mss()); // 2 segments, both in window
+    ASSERT_EQ(s.frames.size(), 2u);
+
+    s.eq.run_until(s.rto() + sim::microseconds(1));
+    // Go-back-N: both segments resent, same sequence numbers.
+    ASSERT_EQ(s.frames.size(), 4u);
+    EXPECT_EQ(s.conn().retransmits(), 2u);
+    EXPECT_EQ(tcp_of(s.frames[2]).seq, 1u);
+    EXPECT_EQ(tcp_of(s.frames[3]).seq, 1u + s.mss());
+    // And the timer is armed again for the retransmission.
+    EXPECT_TRUE(s.conn().timer_armed());
+}
+
+TEST(SwSendStack, AckDisarmsTimerNoSpuriousRetransmit)
+{
+    SendPath s;
+    s.resolve();
+    s.send(s.mss());
+    ASSERT_EQ(s.frames.size(), 1u);
+
+    // ACK everything just before the timer would fire.
+    s.eq.run_until(s.rto() - sim::microseconds(10));
+    s.ack(1 + s.mss());
+    EXPECT_EQ(s.conn().unacked_segments(), 0u);
+    EXPECT_FALSE(s.conn().timer_armed());
+
+    // The already-scheduled timeout must hit the generation check.
+    s.eq.run();
+    EXPECT_EQ(s.frames.size(), 1u);
+    EXPECT_EQ(s.conn().retransmits(), 0u);
+}
+
+TEST(SwSendStack, StaleTimerDoesNotRetransmitAfterProgress)
+{
+    SendPath s;
+    s.resolve();
+    s.send(s.mss()); // seg 1, timer armed at t=0
+    s.eq.run_until(s.rto() / 2);
+    s.ack(1 + s.mss()); // progress
+    s.send(s.mss());    // seg 2, fresh timer
+
+    // Past the ORIGINAL deadline: the stale timer must not fire.
+    s.eq.run_until(s.rto() + sim::microseconds(1));
+    EXPECT_EQ(s.conn().retransmits(), 0u);
+
+    // The fresh timer still protects segment 2.
+    s.eq.run_until(s.rto() / 2 + s.rto() + sim::microseconds(1));
+    EXPECT_EQ(s.conn().retransmits(), 1u);
+    EXPECT_EQ(tcp_of(s.frames.back()).seq, 1u + s.mss());
+}
+
+TEST(SwSendStack, DuplicateAckIsIgnored)
+{
+    SendPath s;
+    s.resolve();
+    s.send(2 * s.mss());
+    s.ack(1 + s.mss());
+    uint32_t una = s.conn().snd_una();
+    s.ack(1 + s.mss()); // duplicate
+    s.ack(1);           // stale
+    EXPECT_EQ(s.conn().snd_una(), una);
+    EXPECT_EQ(s.conn().unacked_segments(), 1u);
+}
+
+TEST(SwSendStack, MaxRetriesResetsConnection)
+{
+    SendPath s(/*max_retries=*/2);
+    s.resolve();
+    s.send(s.mss());
+    s.eq.run(); // no ACK ever: retry, retry, reset
+    EXPECT_EQ(s.conn().retransmits(), 2u);
+    EXPECT_EQ(s.conn().resets(), 1u);
+    EXPECT_EQ(s.conn().unacked_segments(), 0u);
+    EXPECT_EQ(s.conn().state(), ConnState::Reset);
+    EXPECT_EQ(s.fp.stats().conns_reset, 1u);
 }

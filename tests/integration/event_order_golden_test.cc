@@ -19,23 +19,10 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "apps/fuzz_runner.h"
-#include "bench/bench_util.h"
-#include "sim/fuzz.h"
+#include "tools/fuzz/fuzz_modes.h"
 
 namespace fld::apps {
 namespace {
-
-/** The exact runner configuration tools/fld_fuzz.cc uses. */
-FuzzRunner
-make_runner()
-{
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    ropt.check_trace = true;
-    return FuzzRunner(ropt);
-}
 
 /** Seed -> scenario, sized down to regression-test budgets and with
  *  the mode rotated so the sweep covers every family. */
@@ -132,7 +119,8 @@ constexpr Pinned kPinned[] = {
 TEST(EventOrderGolden, FiftySeedSweepMatchesPinnedTranscripts)
 {
     for (const Pinned& p : kPinned) {
-        FuzzVerdict v = make_runner().run(scenario_for(p.seed));
+        FuzzVerdict v =
+            FuzzRunner(fuzz_runner_options()).run(scenario_for(p.seed));
         EXPECT_EQ(v.ok, p.ok) << "seed " << p.seed << "\n" << v.transcript;
         EXPECT_EQ(v.transcript_hash, p.transcript_hash)
             << "seed " << p.seed << ": event order drifted";

@@ -7,22 +7,16 @@
  */
 #include <gtest/gtest.h>
 
-#include "apps/fuzz_runner.h"
-#include "bench/bench_util.h"
-#include "sim/fuzz.h"
+#include "tools/fuzz/fuzz_modes.h"
 
 namespace fld::apps {
 namespace {
 
-/** The exact runner configuration tools/fld_fuzz.cc uses. */
+/** The exact runner configuration fld_fuzz uses. */
 FuzzRunner
 make_runner(bool trace = true)
 {
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    ropt.check_trace = trace;
-    return FuzzRunner(ropt);
+    return FuzzRunner(fuzz_runner_options(trace));
 }
 
 TEST(FuzzReplay, SameSeedYieldsByteIdenticalTranscript)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Parallel sweep determinism: a seed range swept with --jobs=8 must
- * produce exactly the per-seed verdicts and transcripts of --jobs=1,
- * and the lowest-failing-seed merge must match what a serial sweep
- * stops at — including when the failure is found out of order.
+ * Parallel sweep determinism: every fld_fuzz mode swept over a seed
+ * range with several workers must produce exactly the per-seed
+ * verdicts and transcript (or churn state) hashes of a one-worker
+ * sweep, and the lowest-failing-seed merge must match what a serial
+ * sweep stops at — including when the failure is found out of order.
  */
 #include <gtest/gtest.h>
 
@@ -11,85 +12,109 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "apps/fuzz_sweep.h"
-#include "bench/bench_util.h"
+#include "tools/fuzz/fuzz_modes.h"
+#include "tools/fuzz/fuzz_sweep.h"
 
 namespace fld::apps {
 namespace {
 
-/** The exact runner configuration tools/fld_fuzz.cc uses. */
-FuzzRunOptions
-runner_options(bool trace = true)
-{
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    ropt.check_trace = trace;
-    return ropt;
-}
+/** A seed's verdict and its transcript (or churn state) hash. */
+using Outcome = std::pair<bool, uint64_t>;
 
-/** Sweep [seed0, seed0+n) collecting per-seed transcript hashes. */
-std::map<uint64_t, uint64_t>
-sweep_hashes(unsigned jobs, uint64_t seed0, uint64_t n)
+/** Sweep [seed0, seed0+n) of @p family through the core, running each
+ *  seed exactly as fld_fuzz does and collecting its outcome. */
+std::map<uint64_t, Outcome>
+sweep_family(FuzzFamily family, unsigned jobs, uint64_t seed0, uint64_t n)
 {
-    std::map<uint64_t, uint64_t> hashes;
-    SweepOptions opt;
-    opt.seed0 = seed0;
-    opt.seeds = n;
-    opt.jobs = jobs;
-    opt.run = runner_options();
-    opt.on_result = [&](uint64_t, uint64_t seed,
-                        const sim::FuzzScenario&,
-                        const FuzzVerdict& v) {
-        hashes[seed] = v.transcript_hash;
-        EXPECT_TRUE(v.ok) << "seed " << seed << ":\n" << v.transcript;
-    };
-    SweepResult r = run_sweep(opt);
+    const FuzzRunOptions ropt = fuzz_runner_options();
+    std::mutex mu;
+    std::map<uint64_t, Outcome> outcomes;
+    SweepResult r = run_sweep(
+        {.seed0 = seed0, .seeds = n, .jobs = jobs}, [&](uint64_t seed) {
+            Outcome o;
+            if (family == FuzzFamily::Churn) {
+                ChurnReport rep = run_churn_seed(seed);
+                o = {rep.ok(), rep.state_hash};
+            } else {
+                FuzzVerdict v =
+                    FuzzRunner(ropt).run(family_scenario(family, seed));
+                o = {v.ok, v.transcript_hash};
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            outcomes[seed] = o;
+            return o.first;
+        });
     EXPECT_FALSE(r.found_failure);
     EXPECT_EQ(r.ran, n);
-    return hashes;
+    return outcomes;
+}
+
+/** A @p jobs-worker sweep must reproduce the one-worker sweep seed
+ *  for seed, and every seed must pass. */
+void
+expect_matches_serial(FuzzFamily family, unsigned jobs, uint64_t seed0,
+                      uint64_t n)
+{
+    auto serial = sweep_family(family, /*jobs=*/1, seed0, n);
+    auto parallel = sweep_family(family, jobs, seed0, n);
+    ASSERT_EQ(serial.size(), n);
+    EXPECT_EQ(serial, parallel);
+    for (const auto& [seed, outcome] : serial) {
+        EXPECT_TRUE(outcome.first) << "seed " << seed;
+        EXPECT_NE(outcome.second, 0u) << "seed " << seed;
+    }
 }
 
 TEST(ParallelSweep, Jobs8MatchesJobs1PerSeedTranscripts)
 {
-    auto serial = sweep_hashes(/*jobs=*/1, /*seed0=*/1, /*n=*/12);
-    auto parallel = sweep_hashes(/*jobs=*/8, /*seed0=*/1, /*n=*/12);
-    ASSERT_EQ(serial.size(), 12u);
-    EXPECT_EQ(serial, parallel);
-    for (const auto& [seed, hash] : serial)
-        EXPECT_NE(hash, 0u) << "seed " << seed;
+    expect_matches_serial(FuzzFamily::Datapath, /*jobs=*/8, /*seed0=*/1,
+                          /*n=*/12);
 }
 
 TEST(ParallelSweep, RepeatedParallelSweepsAreBitIdentical)
 {
-    auto a = sweep_hashes(/*jobs=*/8, /*seed0=*/40, /*n=*/8);
-    auto b = sweep_hashes(/*jobs=*/8, /*seed0=*/40, /*n=*/8);
+    auto a = sweep_family(FuzzFamily::Datapath, /*jobs=*/8, 40, 8);
+    auto b = sweep_family(FuzzFamily::Datapath, /*jobs=*/8, 40, 8);
     EXPECT_EQ(a, b);
 }
 
-/** Synthetic runner: seeds in `bad` fail, everything else passes. */
-SweepOptions
-synthetic_sweep(unsigned jobs, uint64_t seeds,
-                std::vector<uint64_t> bad)
+TEST(ParallelSweep, ConnJobs4MatchesJobs1)
 {
-    SweepOptions opt;
-    opt.seed0 = 1;
-    opt.seeds = seeds;
-    opt.jobs = jobs;
-    opt.run_override =
-        [bad = std::move(bad)](const sim::FuzzScenario& s) {
-            FuzzVerdict v;
-            v.transcript = "seed " + std::to_string(s.seed);
-            v.transcript_hash = s.seed * 2654435761u;
-            for (uint64_t b : bad)
-                if (s.seed == b) {
-                    v.ok = false;
-                    v.violations = {"synthetic failure"};
-                }
-            return v;
-        };
-    return opt;
+    expect_matches_serial(FuzzFamily::Conn, /*jobs=*/4, /*seed0=*/1,
+                          /*n=*/6);
+}
+
+TEST(ParallelSweep, RpcJobs4MatchesJobs1)
+{
+    expect_matches_serial(FuzzFamily::Rpc, /*jobs=*/4, /*seed0=*/1,
+                          /*n=*/6);
+}
+
+TEST(ParallelSweep, PipelineJobs4MatchesJobs1)
+{
+    expect_matches_serial(FuzzFamily::Pipeline, /*jobs=*/4, /*seed0=*/1,
+                          /*n=*/8);
+}
+
+TEST(ParallelSweep, ChurnJobs4MatchesJobs1)
+{
+    expect_matches_serial(FuzzFamily::Churn, /*jobs=*/4, /*seed0=*/1,
+                          /*n=*/8);
+}
+
+/** Synthetic per-seed check: seeds in @p bad fail, all others pass. */
+SeedCheck
+synthetic_check(std::vector<uint64_t> bad)
+{
+    return [bad = std::move(bad)](uint64_t seed) {
+        for (uint64_t b : bad)
+            if (seed == b)
+                return false;
+        return true;
+    };
 }
 
 TEST(ParallelSweep, LowestFailingSeedWinsRegardlessOfJobs)
@@ -97,13 +122,10 @@ TEST(ParallelSweep, LowestFailingSeedWinsRegardlessOfJobs)
     // Several seeds fail; every jobs value must report the lowest one,
     // exactly like a serial sweep stopping at its first failure.
     for (unsigned jobs : {1u, 2u, 8u}) {
-        SweepResult r =
-            run_sweep(synthetic_sweep(jobs, 64, {57, 23, 41}));
+        SweepResult r = run_sweep({.seed0 = 1, .seeds = 64, .jobs = jobs},
+                                  synthetic_check({57, 23, 41}));
         EXPECT_TRUE(r.found_failure) << "jobs=" << jobs;
         EXPECT_EQ(r.failing_seed, 23u) << "jobs=" << jobs;
-        EXPECT_EQ(r.failing_scenario.seed, 23u) << "jobs=" << jobs;
-        EXPECT_EQ(r.failing_verdict.transcript, "seed 23")
-            << "jobs=" << jobs;
     }
 }
 
@@ -113,15 +135,14 @@ TEST(ParallelSweep, WorkersStopClaimingPastAFailure)
     // anywhere near the full range. Publication of the failure races
     // with other workers claiming seeds, so clean runs are slowed a
     // touch to keep the bound safe under sanitizers' scheduling.
-    SweepOptions opt = synthetic_sweep(/*jobs=*/8, 4096, {1});
-    auto inner = opt.run_override;
-    opt.run_override = [inner](const sim::FuzzScenario& s) {
-        FuzzVerdict v = inner(s);
-        if (v.ok)
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        return v;
-    };
-    SweepResult r = run_sweep(opt);
+    SeedCheck inner = synthetic_check({1});
+    SweepResult r = run_sweep(
+        {.seed0 = 1, .seeds = 4096, .jobs = 8}, [&](uint64_t seed) {
+            bool ok = inner(seed);
+            if (ok)
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+            return ok;
+        });
     EXPECT_TRUE(r.found_failure);
     EXPECT_EQ(r.failing_seed, 1u);
     EXPECT_LT(r.ran, 512u);
@@ -131,16 +152,12 @@ TEST(ParallelSweep, CleanRangeRunsEverySeedExactlyOnce)
 {
     std::mutex mu;
     std::map<uint64_t, int> runs;
-    SweepOptions opt = synthetic_sweep(/*jobs=*/8, 128, {});
-    auto inner = opt.run_override;
-    opt.run_override = [&](const sim::FuzzScenario& s) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            runs[s.seed]++;
-        }
-        return inner(s);
-    };
-    SweepResult r = run_sweep(opt);
+    SweepResult r = run_sweep({.seed0 = 1, .seeds = 128, .jobs = 8},
+                              [&](uint64_t seed) {
+                                  std::lock_guard<std::mutex> lock(mu);
+                                  runs[seed]++;
+                                  return true;
+                              });
     EXPECT_FALSE(r.found_failure);
     EXPECT_EQ(r.ran, 128u);
     ASSERT_EQ(runs.size(), 128u);

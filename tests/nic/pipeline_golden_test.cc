@@ -27,9 +27,9 @@
 #include "net/headers.h"
 #include "net/toeplitz.h"
 #include "nic/nic.h"
-#include "sim/fuzz.h"
 #include "sim/trace.h"
 #include "tests/nic/nic_test_fixture.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace fld::nic {
@@ -86,10 +86,10 @@ struct SteeringRig
     /** FNV-1a 64 over the (rqn, size) delivery sequence. */
     uint64_t seen_hash() const
     {
-        uint64_t h = sim::kFnvBasis;
+        uint64_t h = kFnvBasis;
         for (const auto& [rqn, sz] : seen) {
             uint64_t v[2] = {rqn, uint64_t(sz)};
-            h = sim::fnv1a64(v, sizeof v, h);
+            h = fnv1a64(v, sizeof v, h);
         }
         return h;
     }
@@ -245,7 +245,7 @@ using Recorded = std::pair<size_t, uint64_t>;
 Recorded
 digest_of(const std::unique_ptr<sim::Tracer>& tr)
 {
-    return {tr->events().size(), sim::fnv1a64_str(tr->digest())};
+    return {tr->events().size(), fnv1a64_str(tr->digest())};
 }
 
 TEST(PipelineGolden, FldEchoTraceDigestBitIdentical)

@@ -4,7 +4,7 @@
  * greedy shrinking behavior, and the conservation ledger used by
  * oracle (d).
  */
-#include "sim/fuzz.h"
+#include "tools/fuzz/fuzz.h"
 
 #include <gtest/gtest.h>
 

@@ -9,38 +9,39 @@
  * greedily shrinks the scenario and writes replayable artifacts.
  *
  * Usage:
- *   fld_fuzz [--seeds=N] [--seed0=S] [--budget=120s] [--jobs=N]
- *            [--replay=SEED] [--artifacts=DIR] [--no-trace]
- *            [--churn=N] [--conn=N] [--rpc=N] [--pipeline=N]
+ *   fld_fuzz [--seeds=N | --conn=N | --rpc=N | --pipeline=N |
+ *             --churn=N | --replay=SEED]
+ *            [--seed0=S] [--budget=120s] [--jobs=N]
+ *            [--artifacts=DIR] [--no-trace]
  *
- *   --churn=N       control-plane mode: N seeds of randomized
- *                   many-tenant churn scenarios (sim::ChurnGen)
- *                   through the ChurnHarness oracles (shadow map,
- *                   stat conservation, budget/model reconciliation,
- *                   fault rejection) instead of datapath scenarios
- *   --conn=N        connection-workload mode: N seeds, each forced to
- *                   FuzzMode::ConnServe (every seed carries valid conn
- *                   draws), run FLD-served vs CPU-served through the
- *                   fastpath harness oracles; failures shrink and
- *                   write artifacts exactly like datapath mode
- *   --rpc=N         RPC-workload mode: N seeds, each forced to
- *                   FuzzMode::RpcServe (every seed carries valid rpc
- *                   draws), run FLD-served vs CPU-served through the
- *                   RPC harness; the differential oracle diffs
+ * Modes (at most one; two different mode flags exit 2 with a usage
+ * line). Every sweep mode runs N consecutive seeds from --seed0
+ * through the shared seed sweep (tools/fuzz/fuzz_sweep.h):
+ *   --seeds=N       datapath mode, the default (N = 100): each seed's
+ *                   scenario as generated
+ *   --conn=N        connection-workload mode: each seed forced to
+ *                   FuzzMode::ConnServe, run FLD-served vs CPU-served
+ *                   through the fastpath harness oracles
+ *   --rpc=N         RPC-workload mode: each seed forced to
+ *                   FuzzMode::RpcServe; the differential oracle diffs
  *                   per-request response digests across the modes
- *   --pipeline=N    pipeline-program mode: N seeds, each forced to
+ *   --pipeline=N    pipeline-program mode: each seed forced to
  *                   FuzzMode::EthEcho with a random decoration program
- *                   (every seed carries valid pipeline draws) spliced
- *                   into the echo server's compiled steering program;
- *                   FLD vs CPU differential
- *                   plus all four oracle families judge the program
- *   --seeds=N       run N consecutive seeds (default 100)
+ *                   spliced into the echo server's compiled steering
+ *                   program, judged FLD vs CPU by all four oracles
+ *   --churn=N       control-plane mode: randomized many-tenant churn
+ *                   scenarios (sim::ChurnGen) through the ChurnHarness
+ *                   oracles (shadow map, stat conservation,
+ *                   budget/model reconciliation, fault rejection)
+ *   --replay=SEED   run exactly one datapath seed and print its
+ *                   transcript
+ *
+ * Options for every sweep mode:
  *   --seed0=S       first seed (default 1)
  *   --budget=T      stop after T wall-clock seconds (e.g. 120s);
- *                   overrides --seeds with "as many as fit"
+ *                   overrides N with "as many as fit"
  *   --jobs=N        worker threads (default 1); any N yields the same
- *                   verdict and artifacts (see apps/fuzz_sweep.h)
- *   --replay=SEED   run exactly one seed and print its transcript
+ *                   verdict, artifacts and set of progress lines
  *   --artifacts=DIR write failing_seed.txt / minimized_scenario.txt /
  *                   transcript.txt there on failure (default ".")
  *   --no-trace      skip trace recording (faster soak)
@@ -51,23 +52,46 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 
-#include "apps/churn_harness.h"
-#include "apps/fuzz_runner.h"
-#include "apps/fuzz_sweep.h"
-#include "bench/bench_util.h"
-#include "sim/fuzz.h"
-#include "util/rng.h"
+#include "tools/fuzz/fuzz_modes.h"
+#include "tools/fuzz/fuzz_sweep.h"
 #include "util/strings.h"
 
 using namespace fld;
+using apps::FuzzFamily;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: fld_fuzz [--seeds=N | --conn=N | --rpc=N | --pipeline=N | "
+    "--churn=N | --replay=SEED] [--seed0=S] [--budget=T] [--jobs=N] "
+    "[--artifacts=DIR] [--no-trace]\n";
+
+/** One sweep mode: its flag, the word its lines carry, and how often
+ *  (in seeds) it prints a progress line. */
+struct Mode
+{
+    const char* flag;
+    FuzzFamily family;
+    const char* label;
+    uint64_t progress_every;
+};
+
+constexpr Mode kModes[] = {
+    {"seeds", FuzzFamily::Datapath, "", 25},
+    {"conn", FuzzFamily::Conn, "conn ", 10},
+    {"rpc", FuzzFamily::Rpc, "rpc ", 10},
+    {"pipeline", FuzzFamily::Pipeline, "pipeline ", 10},
+    {"churn", FuzzFamily::Churn, "churn ", 25},
+};
+
 struct CliOptions
 {
+    const Mode* mode = &kModes[0];
     uint64_t seeds = 100;
     uint64_t seed0 = 1;
     double budget_sec = 0; ///< 0 = no time budget
@@ -76,42 +100,52 @@ struct CliOptions
     uint64_t replay_seed = 0;
     std::string artifacts = ".";
     bool trace = true;
-    uint64_t churn = 0; ///< >0: churn mode, N seeds
-    uint64_t conn = 0;  ///< >0: connection-workload mode, N seeds
-    uint64_t rpc = 0;   ///< >0: RPC-workload mode, N seeds
-    uint64_t pipeline = 0; ///< >0: pipeline-program mode, N seeds
 };
 
 bool
 parse_args(int argc, char** argv, CliOptions& o)
 {
+    const char* mode_flag = nullptr;
+    auto pick_mode = [&](const char* flag) {
+        if (mode_flag && std::strcmp(mode_flag, flag) != 0) {
+            std::fprintf(stderr, "--%s and --%s are exclusive\n",
+                         mode_flag, flag);
+            return false;
+        }
+        mode_flag = flag;
+        return true;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto val = [&](const char* prefix) -> const char* {
-            size_t n = std::string(prefix).size();
-            return a.rfind(prefix, 0) == 0 ? a.c_str() + n : nullptr;
+        auto val = [&](std::string_view prefix) -> const char* {
+            return a.rfind(prefix, 0) == 0 ? a.c_str() + prefix.size()
+                                           : nullptr;
         };
-        if (const char* v = val("--seeds="))
-            o.seeds = std::strtoull(v, nullptr, 0);
-        else if (const char* v = val("--seed0="))
+        const Mode* mode = nullptr;
+        const char* count = nullptr;
+        for (const Mode& m : kModes)
+            if (const char* v = val("--" + std::string(m.flag) + "=")) {
+                mode = &m;
+                count = v;
+            }
+        if (mode) {
+            if (!pick_mode(mode->flag))
+                return false;
+            o.mode = mode;
+            o.seeds = std::strtoull(count, nullptr, 0);
+        } else if (const char* v = val("--replay=")) {
+            if (!pick_mode("replay"))
+                return false;
+            o.replay = true;
+            o.replay_seed = std::strtoull(v, nullptr, 0);
+        } else if (const char* v = val("--seed0="))
             o.seed0 = std::strtoull(v, nullptr, 0);
         else if (const char* v = val("--budget="))
             o.budget_sec = std::strtod(v, nullptr); // "120s" parses as 120
         else if (const char* v = val("--jobs="))
             o.jobs = unsigned(std::strtoul(v, nullptr, 0));
-        else if (const char* v = val("--replay=")) {
-            o.replay = true;
-            o.replay_seed = std::strtoull(v, nullptr, 0);
-        } else if (const char* v = val("--artifacts="))
+        else if (const char* v = val("--artifacts="))
             o.artifacts = v;
-        else if (const char* v = val("--churn="))
-            o.churn = std::strtoull(v, nullptr, 0);
-        else if (const char* v = val("--conn="))
-            o.conn = std::strtoull(v, nullptr, 0);
-        else if (const char* v = val("--rpc="))
-            o.rpc = std::strtoull(v, nullptr, 0);
-        else if (const char* v = val("--pipeline="))
-            o.pipeline = std::strtoull(v, nullptr, 0);
         else if (a == "--no-trace")
             o.trace = false;
         else {
@@ -122,29 +156,22 @@ parse_args(int argc, char** argv, CliOptions& o)
     return true;
 }
 
-apps::FuzzRunOptions
-runner_options(const CliOptions& o)
-{
-    apps::FuzzRunOptions ropt;
-    // The benches' canonical calibrated setup is the base every
-    // scenario perturbs: same addressing, same testbed defaults.
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = apps::TestbedConfig{};
-    ropt.check_trace = o.trace;
-    return ropt;
-}
-
-apps::FuzzRunner
-make_runner(const CliOptions& o)
-{
-    return apps::FuzzRunner(runner_options(o));
-}
-
 void
 write_file(const std::string& path, const std::string& content)
 {
     std::ofstream f(path);
     f << content;
+}
+
+void
+print_replay_hint(const CliOptions& o, uint64_t seed)
+{
+    if (o.mode->family == FuzzFamily::Datapath)
+        std::printf("replay with: fld_fuzz --replay=%llu\n",
+                    (unsigned long long)seed);
+    else
+        std::printf("replay with: fld_fuzz --%s=1 --seed0=%llu\n",
+                    o.mode->flag, (unsigned long long)seed);
 }
 
 int
@@ -176,180 +203,103 @@ report_failure(const CliOptions& o, apps::FuzzRunner& runner,
                 "(failing_seed.txt, minimized_scenario.txt, "
                 "transcript.txt)\n",
                 o.artifacts.c_str());
-    if (failing.pipeline.enabled &&
-        failing.workload.mode == sim::FuzzMode::EthEcho)
-        std::printf("replay with: fld_fuzz --pipeline=1 --seed0=%llu\n",
-                    (unsigned long long)failing.seed);
-    else if (failing.workload.mode == sim::FuzzMode::ConnServe)
-        std::printf("replay with: fld_fuzz --conn=1 --seed0=%llu\n",
-                    (unsigned long long)failing.seed);
-    else if (failing.workload.mode == sim::FuzzMode::RpcServe)
-        std::printf("replay with: fld_fuzz --rpc=1 --seed0=%llu\n",
-                    (unsigned long long)failing.seed);
-    else
-        std::printf("replay with: fld_fuzz --replay=%llu\n",
-                    (unsigned long long)failing.seed);
+    print_replay_hint(o, failing.seed);
     return 1;
 }
 
-/**
- * Connection-workload sweep: every seed already carries conn-shape
- * draws (they sit at the tail of the generator's draw order), so the
- * mode is simply forced to ConnServe and the scenario replays from
- * the seed alone. Seeds whose natural mode is already ConnServe are
- * unchanged by the forcing.
- */
 int
-run_conn_mode(const CliOptions& o)
+report_churn_failure(const CliOptions& o, uint64_t seed)
 {
-    sim::ScenarioFuzzer fuzzer;
-    apps::FuzzRunner runner = make_runner(o);
-    for (uint64_t i = 0; i < o.conn; ++i) {
-        uint64_t seed = o.seed0 + i;
-        sim::FuzzScenario s = fuzzer.generate(seed);
-        s.workload.mode = sim::FuzzMode::ConnServe;
-        apps::FuzzVerdict v = runner.run(s);
-        if (!v.ok)
-            return report_failure(o, runner, s, v);
-        if ((i + 1) % 10 == 0 || i + 1 == o.conn)
-            std::printf("[%llu/%llu] conn seed %llu ok: %s\n",
-                        (unsigned long long)(i + 1),
-                        (unsigned long long)o.conn,
-                        (unsigned long long)seed,
-                        s.summary().c_str());
+    apps::ChurnHarnessConfig cfg = apps::churn_scenario(seed);
+    apps::ChurnReport rep = apps::run_churn_seed(seed);
+    std::printf("\nCHURN FAILURE at seed %llu "
+                "(%u tenants x %u flows, dup=%.2f stray=%.2f)\n",
+                (unsigned long long)seed, cfg.churn.tenants,
+                cfg.churn.flows_per_tenant, cfg.churn.dup_open_prob,
+                cfg.churn.stray_close_prob);
+    std::string transcript;
+    for (const std::string& why : rep.violations) {
+        std::printf("  %s\n", why.c_str());
+        transcript += why + "\n";
     }
-    std::printf("all %llu conn seeds clean\n",
-                (unsigned long long)o.conn);
-    return 0;
-}
-
-/**
- * RPC-workload sweep: like run_conn_mode, but forcing RpcServe — the
- * rpc-shape draws sit at the very tail of the generator's draw order,
- * so any seed replays identically with the mode forced.
- */
-int
-run_rpc_mode(const CliOptions& o)
-{
-    sim::ScenarioFuzzer fuzzer;
-    apps::FuzzRunner runner = make_runner(o);
-    for (uint64_t i = 0; i < o.rpc; ++i) {
-        uint64_t seed = o.seed0 + i;
-        sim::FuzzScenario s = fuzzer.generate(seed);
-        s.workload.mode = sim::FuzzMode::RpcServe;
-        apps::FuzzVerdict v = runner.run(s);
-        if (!v.ok)
-            return report_failure(o, runner, s, v);
-        if ((i + 1) % 10 == 0 || i + 1 == o.rpc)
-            std::printf("[%llu/%llu] rpc seed %llu ok: %s\n",
-                        (unsigned long long)(i + 1),
-                        (unsigned long long)o.rpc,
-                        (unsigned long long)seed,
-                        s.summary().c_str());
-    }
-    std::printf("all %llu rpc seeds clean\n",
-                (unsigned long long)o.rpc);
-    return 0;
-}
-
-/**
- * Pipeline-program sweep: the pipeline-shape draws sit at the very
- * tail of the generator's draw order, so any seed replays identically
- * with the dimension forced on. The mode is forced to EthEcho (the
- * decoration chain splices into the echo steering rules) and the same
- * decorated program serves both the FLD and CPU runs.
- */
-int
-run_pipeline_mode(const CliOptions& o)
-{
-    sim::ScenarioFuzzer fuzzer;
-    apps::FuzzRunner runner = make_runner(o);
-    for (uint64_t i = 0; i < o.pipeline; ++i) {
-        uint64_t seed = o.seed0 + i;
-        sim::FuzzScenario s = fuzzer.generate(seed);
-        s.workload.mode = sim::FuzzMode::EthEcho;
-        s.pipeline.enabled = true;
-        apps::FuzzVerdict v = runner.run(s);
-        if (!v.ok)
-            return report_failure(o, runner, s, v);
-        if ((i + 1) % 10 == 0 || i + 1 == o.pipeline)
-            std::printf("[%llu/%llu] pipeline seed %llu ok: %s\n",
-                        (unsigned long long)(i + 1),
-                        (unsigned long long)o.pipeline,
-                        (unsigned long long)seed,
-                        s.summary().c_str());
-    }
-    std::printf("all %llu pipeline seeds clean\n",
-                (unsigned long long)o.pipeline);
-    return 0;
-}
-
-/** One randomized churn scenario per seed: the geometry, fault mix
- *  and traffic shape all derive from the seed, so a failing seed
- *  replays exactly. */
-apps::ChurnHarnessConfig
-churn_scenario(uint64_t seed)
-{
-    Rng rng(seed * 0x9e3779b97f4a7c15ull + 0xc4);
-    apps::ChurnHarnessConfig cfg;
-    cfg.churn.tenants = uint32_t(rng.range(2, 300));
-    cfg.churn.flows_per_tenant = uint32_t(rng.range(1, 200));
-    cfg.churn.packet_fraction = 0.3 + 0.6 * rng.uniform_double();
-    cfg.churn.skew = rng.uniform_double() * 2.0;
-    cfg.churn.dup_open_prob = rng.chance(0.5) ? 0.02 : 0.0;
-    cfg.churn.stray_close_prob = rng.chance(0.5) ? 0.02 : 0.0;
-    cfg.churn.seed = seed;
-    if (rng.chance(0.3))
-        cfg.directory.sketch_enabled = false;
-    if (rng.chance(0.3)) {
-        cfg.tenant_rate_gbps = 0.5 + rng.uniform_double() * 5.0;
-        cfg.tenant_burst_bytes = 1 << rng.range(12, 16);
-    }
-    return cfg;
+    write_file(o.artifacts + "/failing_seed.txt",
+               std::to_string(seed) + "\n");
+    write_file(o.artifacts + "/transcript.txt", transcript);
+    print_replay_hint(o, seed);
+    return 1;
 }
 
 int
-run_churn_mode(const CliOptions& o)
+run_replay(const CliOptions& o)
 {
-    for (uint64_t i = 0; i < o.churn; ++i) {
-        uint64_t seed = o.seed0 + i;
-        apps::ChurnHarnessConfig cfg = churn_scenario(seed);
-        apps::ChurnHarness harness(cfg);
-        uint64_t events = 4 * harness.gen().target_population();
-        apps::ChurnReport rep = harness.run(events);
-        if (!rep.ok()) {
-            std::printf("\nCHURN FAILURE at seed %llu "
-                        "(%u tenants x %u flows, dup=%.2f stray=%.2f)"
-                        "\n",
-                        (unsigned long long)seed, cfg.churn.tenants,
-                        cfg.churn.flows_per_tenant,
-                        cfg.churn.dup_open_prob,
-                        cfg.churn.stray_close_prob);
-            std::string transcript;
-            for (const std::string& why : rep.violations) {
-                std::printf("  %s\n", why.c_str());
-                transcript += why + "\n";
-            }
-            write_file(o.artifacts + "/failing_seed.txt",
-                       std::to_string(seed) + "\n");
-            write_file(o.artifacts + "/transcript.txt", transcript);
-            std::printf("replay with: fld_fuzz --churn=1 --seed0="
-                        "%llu\n",
-                        (unsigned long long)seed);
-            return 1;
+    apps::FuzzRunner runner(apps::fuzz_runner_options(o.trace));
+    sim::FuzzScenario s =
+        apps::family_scenario(FuzzFamily::Datapath, o.replay_seed);
+    apps::FuzzVerdict v = runner.run(s);
+    std::printf("%s", v.transcript.c_str());
+    std::printf("transcript_hash = %016llx\n",
+                (unsigned long long)v.transcript_hash);
+    return v.ok ? 0 : report_failure(o, runner, s, v);
+}
+
+int
+run_mode(const CliOptions& o)
+{
+    const Mode& m = *o.mode;
+    const apps::FuzzRunOptions ropt = apps::fuzz_runner_options(o.trace);
+    const std::string total = o.budget_sec > 0
+                                  ? strfmt("%.0fs", o.budget_sec)
+                                  : std::to_string(o.seeds);
+    // Progress lines are keyed by seed index, not completion order, so
+    // every --jobs value prints the same set of lines.
+    auto progress = [&](uint64_t seed, const std::string& detail) {
+        uint64_t n = seed - o.seed0 + 1;
+        if (n % m.progress_every == 0 ||
+            (o.budget_sec == 0 && n == o.seeds))
+            std::printf("[%llu/%s] %sseed %llu ok: %s\n",
+                        (unsigned long long)n, total.c_str(), m.label,
+                        (unsigned long long)seed, detail.c_str());
+    };
+    auto ok = [&](uint64_t seed) {
+        if (m.family == FuzzFamily::Churn) {
+            apps::ChurnReport rep = apps::run_churn_seed(seed);
+            if (rep.ok())
+                progress(seed,
+                         strfmt("%llu events, %zu live, hash %016llx",
+                                (unsigned long long)rep.events,
+                                rep.final_live,
+                                (unsigned long long)rep.state_hash));
+            return rep.ok();
         }
-        if ((i + 1) % 25 == 0 || i + 1 == o.churn)
-            std::printf("[%llu/%llu] churn seed %llu ok: %llu events,"
-                        " %zu live, hash %016llx\n",
-                        (unsigned long long)(i + 1),
-                        (unsigned long long)o.churn,
-                        (unsigned long long)seed,
-                        (unsigned long long)rep.events,
-                        rep.final_live,
-                        (unsigned long long)rep.state_hash);
+        sim::FuzzScenario s = apps::family_scenario(m.family, seed);
+        bool passed = apps::FuzzRunner(ropt).run(s).ok;
+        if (passed)
+            progress(seed, s.summary());
+        return passed;
+    };
+
+    const auto start = std::chrono::steady_clock::now();
+    apps::SweepResult r = apps::run_sweep(
+        {.seed0 = o.seed0,
+         .seeds = o.seeds,
+         .budget_sec = o.budget_sec,
+         .jobs = o.jobs},
+        ok);
+    if (r.found_failure) {
+        // Seeds are pure: running the failing one again reproduces
+        // its scenario, verdict and artifacts exactly.
+        if (m.family == FuzzFamily::Churn)
+            return report_churn_failure(o, r.failing_seed);
+        apps::FuzzRunner runner(ropt);
+        sim::FuzzScenario s = apps::family_scenario(m.family, r.failing_seed);
+        return report_failure(o, runner, s, runner.run(s));
     }
-    std::printf("all %llu churn seeds clean\n",
-                (unsigned long long)o.churn);
+    std::printf("all %llu %sseeds clean (%.1fs, jobs=%u)\n",
+                (unsigned long long)r.ran, m.label,
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count(),
+                o.jobs < 1 ? 1u : o.jobs);
     return 0;
 }
 
@@ -359,62 +309,9 @@ int
 main(int argc, char** argv)
 {
     CliOptions o;
-    if (!parse_args(argc, argv, o))
+    if (!parse_args(argc, argv, o)) {
+        std::fputs(kUsage, stderr);
         return 2;
-
-    if (o.churn > 0)
-        return run_churn_mode(o);
-    if (o.conn > 0)
-        return run_conn_mode(o);
-    if (o.rpc > 0)
-        return run_rpc_mode(o);
-    if (o.pipeline > 0)
-        return run_pipeline_mode(o);
-
-    sim::ScenarioFuzzer fuzzer;
-    apps::FuzzRunner runner = make_runner(o);
-
-    if (o.replay) {
-        sim::FuzzScenario s = fuzzer.generate(o.replay_seed);
-        apps::FuzzVerdict v = runner.run(s);
-        std::printf("%s", v.transcript.c_str());
-        std::printf("transcript_hash = %016llx\n",
-                    (unsigned long long)v.transcript_hash);
-        return v.ok ? 0 : report_failure(o, runner, s, v);
     }
-
-    auto start = std::chrono::steady_clock::now();
-    auto elapsed_sec = [&] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-
-    apps::SweepOptions sweep;
-    sweep.seed0 = o.seed0;
-    sweep.seeds = o.seeds;
-    sweep.budget_sec = o.budget_sec;
-    sweep.jobs = o.jobs;
-    sweep.run = runner_options(o);
-    sweep.on_result = [&](uint64_t done, uint64_t seed,
-                          const sim::FuzzScenario& s,
-                          const apps::FuzzVerdict& v) {
-        if (v.ok && (done % 25 == 0 ||
-                     (o.budget_sec == 0 && done == o.seeds)))
-            std::printf("[%llu/%s] seed %llu ok: %s\n",
-                        (unsigned long long)done,
-                        o.budget_sec > 0
-                            ? strfmt("%.0fs", o.budget_sec).c_str()
-                            : std::to_string(o.seeds).c_str(),
-                        (unsigned long long)seed, s.summary().c_str());
-    };
-
-    apps::SweepResult result = apps::run_sweep(sweep);
-    if (result.found_failure)
-        return report_failure(o, runner, result.failing_scenario,
-                              result.failing_verdict);
-    std::printf("all %llu seeds clean (%.1fs, jobs=%u)\n",
-                (unsigned long long)result.ran, elapsed_sec(),
-                o.jobs < 1 ? 1u : o.jobs);
-    return 0;
+    return o.replay ? run_replay(o) : run_mode(o);
 }
