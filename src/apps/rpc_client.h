@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "driver/fastpath.h"
@@ -143,7 +144,7 @@ class RpcClientPool
     uint32_t app_ = 0;
 
     std::vector<Slot> slots_;
-    std::map<uint32_t, uint32_t> by_conn_;
+    std::unordered_map<uint32_t, uint32_t> by_conn_; ///< conn -> slot
     std::deque<uint32_t> pending_slots_; ///< blocked on a full TX ring
     uint32_t opens_issued_ = 0;
     uint32_t done_count_ = 0;

@@ -185,6 +185,7 @@ run_rpc_scenario(const RpcHarnessConfig& cfg)
     r.end_time = tb.eq.now();
     r.client_app = pool.stats();
     r.server_app = server.stats();
+    r.server_live_conns = server.live_conns();
     r.dispatch = server.dispatcher().stats();
     r.client_stats = client_fp.stats();
     r.server_stats = server_fp.stats();
@@ -256,6 +257,10 @@ run_rpc_scenario(const RpcHarnessConfig& cfg)
                 "only %llu of %llu responses saw a tagged TxDone",
                 (unsigned long long)r.server_app.responses_acked,
                 (unsigned long long)r.server_app.responses));
+        if (r.server_live_conns)
+            r.violations.push_back(strfmt(
+                "server still holds %zu connections",
+                r.server_live_conns));
     } else {
         // Even under faults a served response is answered once; the
         // digest map can only shrink (aborted conns), never disagree.

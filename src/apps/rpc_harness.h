@@ -70,6 +70,9 @@ struct RpcReport
 
     RpcClientStats client_app;
     RpcServerStats server_app;
+    /** RpcServer::live_conns() at the end: 0 once every connection
+     *  closed or reset. Not folded into state_hash. */
+    size_t server_live_conns = 0;
     RpcDispatchStats dispatch;
     driver::FastPathStats client_stats;
     driver::FastPathStats server_stats;

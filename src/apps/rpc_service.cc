@@ -199,7 +199,7 @@ RpcServer::idle() const
     if (!disp_.idle())
         return false;
     for (const auto& [id, c] : conns_)
-        if (!c.gone && !c.out.empty())
+        if (!c.out.empty())
             return false;
     return true;
 }
@@ -239,12 +239,8 @@ RpcServer::drain_ctrl()
                 ++stats_.closed;
             else
                 ++stats_.resets;
-            auto it = conns_.find(m->conn_id);
-            if (it != conns_.end()) {
-                it->second.gone = true;
-                it->second.out.clear();
-                it->second.out_head_off = 0;
-            }
+            // Queued output and decoder state go with the entry.
+            conns_.erase(m->conn_id);
             break;
         }
         case driver::CtrlMsg::Type::Opened:
@@ -264,7 +260,7 @@ RpcServer::drain_rx()
         uint32_t slot = rx.pop(&d);
         if (d.type == driver::kDescData) {
             auto it = conns_.find(uint32_t(d.opaque));
-            if (it != conns_.end() && !it->second.gone) {
+            if (it != conns_.end()) {
                 Conn& c = it->second;
                 if (!c.decoder.feed(arena + d.addr, d.len) &&
                     !c.error_counted) {
@@ -294,13 +290,11 @@ RpcServer::on_request(uint32_t conn_id, rpc::Frame&& f)
     ++stats_.requests;
     disp_.dispatch(std::move(f), [this, conn_id](rpc::Frame&& resp) {
         auto it = conns_.find(conn_id);
-        if (it == conns_.end() || it->second.gone)
+        if (it == conns_.end())
             return; // connection died while the handler ran
         it->second.out.push_back(rpc::encode_frame(resp));
-        if (!ready_flag_.count(conn_id)) {
-            ready_flag_[conn_id] = 1;
+        if (ready_flag_.insert(conn_id).second)
             send_ready_.push_back(conn_id);
-        }
         pump_tx(); // completion runs from a handler event, not notify
     });
 }
@@ -320,8 +314,7 @@ RpcServer::pump_tx()
     while (!send_ready_.empty()) {
         uint32_t id = send_ready_.front();
         auto it = conns_.find(id);
-        if (it == conns_.end() || it->second.gone ||
-            it->second.out.empty()) {
+        if (it == conns_.end() || it->second.out.empty()) {
             ready_flag_.erase(id);
             send_ready_.pop_front();
             continue;

@@ -21,12 +21,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "driver/fastpath.h"
 #include "net/rpc_codec.h"
 #include "sim/event_queue.h"
+#include "util/fifo.h"
 
 namespace fld::apps {
 
@@ -175,15 +177,16 @@ class RpcServer
     uint32_t app_id() const { return app_; }
     /** No queued responses and no handler in flight. */
     bool idle() const;
+    /** Accepted connections not yet Closed or Reset. */
+    size_t live_conns() const { return conns_.size(); }
 
   private:
     struct Conn
     {
         rpc::FrameDecoder decoder;
-        std::deque<std::vector<uint8_t>> out; ///< encoded responses
+        Fifo<std::vector<uint8_t>> out; ///< encoded responses
         size_t out_head_off = 0; ///< bytes of out.front() already sent
         bool error_counted = false;
-        bool gone = false; ///< Closed/Reset seen; drop queued output
     };
 
     void on_notify();
@@ -199,10 +202,13 @@ class RpcServer
     RpcDispatcher disp_;
     uint32_t app_ = 0;
 
-    std::map<uint32_t, Conn> conns_;
+    /** Live connections only: Closed/Reset erases the entry, so a
+     *  lookup miss means "gone". Never iterated in an order that
+     *  reaches simulated behaviour (only idle() scans it). */
+    std::unordered_map<uint32_t, Conn> conns_;
     /** Connections with queued output, FIFO, no duplicates. */
     std::deque<uint32_t> send_ready_;
-    std::map<uint32_t, char> ready_flag_;
+    std::unordered_set<uint32_t> ready_flag_;
     bool service_pending_ = false;
     bool retry_armed_ = false;
     uint32_t response_seq_ = 0; ///< tags for tagged TxDone completions

@@ -113,7 +113,7 @@ DescRing::own_flags_clear() const
 // ---------------------------------------------------------------------
 
 FastPath::FastPath(sim::EventQueue& eq, FastPathConfig cfg)
-    : eq_(eq), cfg_(cfg)
+    : eq_(eq), cfg_(cfg), conns_(1) // slot 0 is kNoConn
 {
     if (cfg_.slot_bytes < cfg_.conn.mss)
         fatal("FastPath: slot_bytes (%u) < mss (%u)", cfg_.slot_bytes,
@@ -181,24 +181,23 @@ FastPath::poll_ctrl(uint32_t app)
 Connection*
 FastPath::find(uint32_t conn_id)
 {
-    auto it = conns_.find(conn_id);
-    return it == conns_.end() ? nullptr : it->second.get();
+    return conn_id < conns_.size() ? conns_[conn_id].get() : nullptr;
 }
 
 const Connection*
 FastPath::conn(uint32_t conn_id) const
 {
-    auto it = conns_.find(conn_id);
-    return it == conns_.end() ? nullptr : it->second.get();
+    return conn_id < conns_.size() ? conns_[conn_id].get() : nullptr;
 }
 
 std::vector<uint32_t>
 FastPath::conn_ids() const
 {
     std::vector<uint32_t> ids;
-    ids.reserve(conns_.size());
-    for (const auto& [id, c] : conns_)
-        ids.push_back(id);
+    ids.reserve(live_);
+    for (const auto& c : conns_)
+        if (c)
+            ids.push_back(c->id_);
     return ids;
 }
 
@@ -214,30 +213,32 @@ FastPath::find_by_key(const ConnKey& key)
 Connection*
 FastPath::create_conn(uint32_t app, uint64_t cookie, const ConnKey& key)
 {
-    if (by_key_.count(key))
-        return nullptr;
+    // Ids are the table index: the next id is the table's size.
+    if (!by_key_.try_emplace(key, uint32_t(conns_.size())).second)
+        return nullptr; // 4-tuple already in use
     auto c = std::make_unique<Connection>();
-    c->id_ = next_conn_id_++;
+    c->id_ = uint32_t(conns_.size());
     c->key_ = key;
     c->app_ = app;
     c->cookie_ = cookie;
     c->cfg_ = cfg_.conn;
     Connection* raw = c.get();
-    by_key_[key] = raw->id_;
-    conns_[raw->id_] = std::move(c);
+    conns_.push_back(std::move(c));
+    ++live_;
     return raw;
 }
 
 void
 FastPath::free_conn(uint32_t conn_id)
 {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
+    Connection* c = find(conn_id);
+    if (!c)
         return;
-    auto key_it = by_key_.find(it->second->key_);
+    auto key_it = by_key_.find(c->key_);
     if (key_it != by_key_.end() && key_it->second == conn_id)
         by_key_.erase(key_it);
-    conns_.erase(it);
+    conns_[conn_id].reset();
+    --live_;
 }
 
 void
@@ -277,9 +278,9 @@ FastPath::quiesced() const
     for (const auto& up : apps_)
         if (!up->parked.empty())
             return false;
-    for (const auto& [id, c] : conns_)
-        if (!c->unacked_.empty() || !c->backlog_.empty() ||
-            c->timer_armed_)
+    for (const auto& c : conns_)
+        if (c && (!c->unacked_.empty() || !c->backlog_.empty() ||
+                  c->timer_armed_))
             return false;
     return true;
 }
@@ -736,9 +737,11 @@ void
 FastPath::on_arp_resolved(uint32_t ip)
 {
     // Only connections routing to this next hop were parked on it;
-    // everyone else never noticed (per-next-hop isolation).
-    for (auto& [id, c] : conns_)
-        if (c->key_.remote_ip == ip)
+    // everyone else never noticed (per-next-hop isolation). Indexed
+    // rather than range-for: a tx hook that loops frames straight back
+    // can open connections, growing the table mid-scan.
+    for (size_t id = 1; id < conns_.size(); ++id)
+        if (Connection* c = conns_[id].get(); c && c->key_.remote_ip == ip)
             pump(*c);
 }
 

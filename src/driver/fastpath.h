@@ -38,12 +38,14 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "net/headers.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
+#include "util/fifo.h"
+#include "util/hash.h"
 
 namespace fld::driver {
 
@@ -195,16 +197,24 @@ struct ConnKey
     uint16_t remote_port = 0;
     uint16_t local_port = 0;
 
-    bool operator<(const ConnKey& o) const
-    {
-        return std::tie(remote_ip, remote_port, local_port) <
-               std::tie(o.remote_ip, o.remote_port, o.local_port);
-    }
     bool operator==(const ConnKey& o) const
     {
         return remote_ip == o.remote_ip &&
                remote_port == o.remote_port &&
                local_port == o.local_port;
+    }
+};
+
+/** The 4-tuple index's hash: the three fields packed into one word
+ *  and avalanched, so ports that differ in low bits spread over the
+ *  buckets. */
+struct ConnKeyHash
+{
+    size_t operator()(const ConnKey& k) const
+    {
+        return size_t(splitmix64_finalize(uint64_t(k.remote_ip) << 32 |
+                                          uint32_t(k.remote_port) << 16 |
+                                          k.local_port));
     }
 };
 
@@ -289,8 +299,8 @@ class Connection
     bool fin_acked_ = false;
     bool peer_fin_rcvd_ = false;
 
-    std::deque<Segment> backlog_;
-    std::deque<Segment> unacked_;
+    Fifo<Segment> backlog_;
+    Fifo<Segment> unacked_;
 
     bool timer_armed_ = false;
     uint64_t timer_gen_ = 0;
@@ -305,7 +315,7 @@ class Connection
         uint32_t tag = 0;
         bool tagged = false; ///< emit an own TxDone echoing `tag`
     };
-    std::deque<TxRecord> tx_records_;
+    Fifo<TxRecord> tx_records_;
 
     uint64_t segments_sent_ = 0;
     uint64_t retransmits_ = 0;
@@ -440,7 +450,7 @@ class FastPath
     /** Null once the connection has been freed (post time-wait). */
     const Connection* conn(uint32_t conn_id) const;
     /** Connections not yet freed (includes time-wait and Reset). */
-    size_t live_conns() const { return conns_.size(); }
+    size_t live_conns() const { return live_; }
     std::vector<uint32_t> conn_ids() const;
     /** True when nothing is in flight anywhere in the stack. */
     bool quiesced() const;
@@ -528,10 +538,13 @@ class FastPath
     TxFn tx_;
 
     std::vector<std::unique_ptr<AppContext>> apps_;
-    std::map<uint32_t, std::unique_ptr<Connection>> conns_;
-    std::map<ConnKey, uint32_t> by_key_;
+    /** Indexed by connection id; slot 0 (kNoConn) stays empty and a
+     *  freed connection leaves a null slot. Ids are never reused, so a
+     *  scan of the table visits connections in id order. */
+    std::vector<std::unique_ptr<Connection>> conns_;
+    size_t live_ = 0; ///< non-null entries of conns_
+    std::unordered_map<ConnKey, uint32_t, ConnKeyHash> by_key_;
     std::map<uint16_t, uint32_t> listeners_; ///< port -> app
-    uint32_t next_conn_id_ = 1;
 
     std::map<uint32_t, net::MacAddr> arp_cache_;
     std::map<uint32_t, bool> arp_pending_; ///< request outstanding

@@ -26,8 +26,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
+
+#include "util/fifo.h"
 
 namespace fld::rpc {
 
@@ -109,7 +110,7 @@ class FrameDecoder
     uint32_t max_payload_;
     std::vector<uint8_t> buf_;
     size_t off_ = 0; ///< parse cursor into buf_ (compacted lazily)
-    std::deque<Frame> ready_;
+    Fifo<Frame> ready_;
     DecodeError err_ = DecodeError::None;
     uint64_t frames_decoded_ = 0;
     uint64_t bytes_fed_ = 0;

@@ -4,12 +4,14 @@
  * progression, randomized open/close/reset interleavings across 1200
  * connections checked against a shadow state-machine oracle, the
  * per-flow isolation regressions (per-connection retransmit timers,
- * per-next-hop ARP parking), and the send-path units (ARP, MSS
- * segmentation, window, retransmission timer) on one ring-less
- * connection.
+ * per-next-hop ARP parking), the connection table and 4-tuple index
+ * (ids across 2000 open/close cycles, a randomized differential
+ * against std::map), and the send-path units (ARP, MSS segmentation,
+ * window, retransmission timer) on one ring-less connection.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -710,6 +712,146 @@ TEST(FastPathIsolation, PerNextHopArpDoesNotBlockResolvedFlows)
     eq.run();
     EXPECT_EQ(fp.conn(a)->retransmits(), 0u);
     EXPECT_EQ(fp.conn(b)->retransmits(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Connection table and 4-tuple index
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr uint8_t kRst = 0x04;
+
+/** A stack whose frames go nowhere: active opens stay in SynSent
+ *  (their ARP request is never answered), so close() frees them. */
+struct LoneStack
+{
+    sim::EventQueue eq;
+    FastPath fp{eq, DirectPair::cfg(kCliMac, kClientIp, {})};
+
+    LoneStack()
+    {
+        fp.set_tx([](net::Packet&&) { return true; });
+    }
+
+    uint32_t open(const driver::ConnKey& k)
+    {
+        return fp.open(FastPath::kNoApp, 0, k.remote_ip, k.remote_port,
+                       k.local_port);
+    }
+
+    /** A peer RST for @p k: resets a matching connection, counts a
+     *  stray segment otherwise. */
+    void rst(const driver::ConnKey& k)
+    {
+        fp.on_rx(net::PacketBuilder()
+                     .eth(kSrvMac, kCliMac)
+                     .ipv4(k.remote_ip, kClientIp, net::kIpProtoTcp)
+                     .tcp(k.remote_port, k.local_port, 1, 0, kRst)
+                     .build());
+    }
+};
+
+bool
+ascending(const std::vector<uint32_t>& v)
+{
+    return std::adjacent_find(v.begin(), v.end(),
+                              std::greater_equal<uint32_t>()) ==
+           v.end();
+}
+
+} // namespace
+
+TEST(FastPathConn, IdTableAcrossTwoThousandOpenClose)
+{
+    LoneStack s;
+    std::vector<uint32_t> ids;
+    for (uint16_t i = 0; i < 2000; ++i) {
+        uint32_t id =
+            s.open({kServerIp, kListenPort, uint16_t(10000 + i)});
+        ASSERT_NE(id, FastPath::kNoConn);
+        ids.push_back(id);
+    }
+    EXPECT_TRUE(ascending(ids));
+    EXPECT_EQ(s.fp.conn_ids(), ids);
+    EXPECT_EQ(s.fp.live_conns(), 2000u);
+
+    std::vector<uint32_t> order = ids;
+    std::shuffle(order.begin(), order.end(), std::mt19937(5));
+    for (size_t k = 0; k < order.size(); ++k) {
+        s.fp.close(order[k]); // SynSent: aborted and freed at once
+        ASSERT_EQ(s.fp.conn(order[k]), nullptr);
+        EXPECT_EQ(s.fp.live_conns(), order.size() - k - 1);
+        if (k % 250 == 0) {
+            std::vector<uint32_t> live = s.fp.conn_ids();
+            EXPECT_TRUE(ascending(live));
+            EXPECT_EQ(live.size(), order.size() - k - 1);
+        }
+    }
+    EXPECT_EQ(s.fp.live_conns(), 0u);
+    EXPECT_TRUE(s.fp.conn_ids().empty());
+    for (uint32_t id : ids)
+        EXPECT_EQ(s.fp.conn(id), nullptr);
+    EXPECT_EQ(s.fp.conn(FastPath::kNoConn), nullptr);
+    EXPECT_EQ(s.fp.conn(ids.back() + 1), nullptr);
+    EXPECT_EQ(s.fp.conn(0xffffffffu), nullptr);
+
+    // Ids are never reused: the same 4-tuple gets a fresh id.
+    uint32_t again = s.open({kServerIp, kListenPort, 10000});
+    EXPECT_GT(again, ids.back());
+    EXPECT_EQ(s.fp.conn_ids(), std::vector<uint32_t>{again});
+}
+
+TEST(FastPathConn, KeyIndexMatchesStdMapUnderRandomOps)
+{
+    // 4 x 8 x 8 keys, so opens collide with live 4-tuples and keys
+    // differing in a single field sit side by side.
+    LoneStack s;
+    std::map<std::tuple<uint32_t, uint16_t, uint16_t>, uint32_t> ref;
+    std::mt19937_64 rng(2024);
+    for (int op = 0; op < 10000; ++op) {
+        driver::ConnKey k;
+        k.remote_ip = kServerIp + uint32_t(rng() % 4);
+        k.remote_port = uint16_t(7000 + rng() % 8);
+        k.local_port = uint16_t(20000 + rng() % 8);
+        auto t = std::make_tuple(k.remote_ip, k.remote_port, k.local_port);
+        auto it = ref.find(t);
+        uint64_t r = rng() % 100;
+        if (r < 45) {
+            uint32_t id = s.open(k);
+            if (it != ref.end()) {
+                ASSERT_EQ(id, FastPath::kNoConn) << "op " << op;
+            } else {
+                ASSERT_NE(id, FastPath::kNoConn) << "op " << op;
+                ASSERT_EQ(s.fp.conn(id)->key(), k);
+                ref.emplace(t, id);
+            }
+        } else if (r < 75) {
+            if (it != ref.end()) {
+                s.fp.close(it->second); // SynSent or Reset: freed
+                ASSERT_EQ(s.fp.conn(it->second), nullptr);
+                ref.erase(it);
+            }
+        } else {
+            uint64_t stray = s.fp.stats().stray_segments;
+            s.rst(k);
+            if (it != ref.end()) {
+                ASSERT_EQ(s.fp.stats().stray_segments, stray)
+                    << "op " << op;
+                ASSERT_EQ(s.fp.conn(it->second)->state(),
+                          ConnState::Reset);
+            } else {
+                ASSERT_EQ(s.fp.stats().stray_segments, stray + 1)
+                    << "op " << op;
+            }
+        }
+        ASSERT_EQ(s.fp.live_conns(), ref.size()) << "op " << op;
+    }
+    std::vector<uint32_t> expect;
+    for (const auto& [key, id] : ref)
+        expect.push_back(id);
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(s.fp.conn_ids(), expect);
 }
 
 // ---------------------------------------------------------------------

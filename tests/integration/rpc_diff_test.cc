@@ -131,5 +131,36 @@ TEST(RpcDiff, BusyOnlySweepStressesDispatcherQueue)
     EXPECT_EQ(fld.dispatch.busy_time, cpu.dispatch.busy_time);
 }
 
+TEST(RpcDiff, ThousandConnectionGoldenIsPinned)
+{
+    // rpc_10k's shape (perfbench) at 1000 connections, seed 11, with
+    // its hashes pinned: any change to RPC-tier or fast-path
+    // behaviour fails here, not only in the perfbench digest job.
+    RpcHarnessConfig cfg;
+    cfg.mode = FastPathMode::Fld;
+    cfg.client.connections = 1000;
+    cfg.client.requests_per_conn = 2;
+    cfg.client.payload_min = 64;
+    cfg.client.payload_max = 512;
+    cfg.client.methods_mask = 0xf;
+    cfg.client.think_mean = sim::microseconds(20);
+    cfg.client.seed = 11;
+    cfg.client.open_batch = 64;
+    cfg.client.open_interval = sim::microseconds(50);
+    cfg.conn.rto = sim::microseconds(2000);
+    cfg.conn.max_retries = 16;
+    cfg.client.tx_ring_entries = 256;
+    cfg.client.rx_ring_entries = 1024;
+    cfg.server.tx_ring_entries = 512;
+    cfg.server.rx_ring_entries = 1024;
+    RpcReport r = run_rpc_scenario(cfg);
+    ASSERT_TRUE(r.ok) << r.violations.front();
+    EXPECT_EQ(r.client_app.responses, 2000u);
+    EXPECT_EQ(r.digest_hash, 0x5f4c71704231f0a7ull);
+    EXPECT_EQ(r.state_hash, 0x9a3e7332c7aab048ull);
+    // Every Closed/Reset freed the server's per-connection state.
+    EXPECT_EQ(r.server_live_conns, 0u);
+}
+
 } // namespace
 } // namespace fld::apps
